@@ -35,6 +35,7 @@ from .wreath import (
     descent_set,
     enumerate_group,
     g_epsilon,
+    g_epsilon_gf,
     group_order,
     maj,
     numerator,
@@ -61,7 +62,6 @@ from .identity import (
     composition_to_partition,
     descent_shift_check,
     find_pi_for_composition,
-    g_epsilon_gf,
     omega_map,
     rho,
     verify_corollary,

@@ -24,12 +24,12 @@ from .wreath import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     EpsilonVector,
+    check_group_order,
     col,
     des,
     descent_set,
     enumerate_group,
     g_epsilon,
-    group_order,
     maj,
 )
 from .geometry import CubeSliceSpec, enumerate_slice, figure_grid
@@ -109,8 +109,9 @@ def worker_count() -> int:
     return configured
 
 
-def _run_tasks(tasks: list[Callable[[], VerificationReport]]) -> list[VerificationReport]:
-    workers = worker_count()
+def _run_tasks(
+    tasks: list[Callable[[], VerificationReport]], workers: int
+) -> list[VerificationReport]:
     if workers == 1 or len(tasks) <= 1:
         return [task() for task in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -150,11 +151,15 @@ def all_step_tasks(r, n, cap, budget) -> list[Callable[[], VerificationReport]]:
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, str]:
+    workers = worker_count()
+    # Every run ends with the theorem, which refuses a group of more than
+    # budget elements; refuse before any other step does its work.
+    check_group_order(config.r, config.n, config.budget)
     if config.all_steps:
         tasks = all_step_tasks(config.r, config.n, config.t_cap, config.budget)
     else:
         tasks = [lambda: verify_theorem(config.r, config.n, config.t_cap, config.budget)]
-    reports = _run_tasks(tasks)
+    reports = _run_tasks(tasks, workers)
     # Zero the timings: command output must be byte-identical across runs.
     reports = [dataclasses.replace(rep, elapsed_ms=0.0) for rep in reports]
     code = EXIT_PASS if all(rep.ok for rep in reports) else EXIT_CLAIM_FAILED
@@ -181,10 +186,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, str]:
 def cmd_table(config: RunConfig) -> tuple[int, str]:
     if config.filter_eps is not None:
         colors = _parse_eps(config.filter_eps, config.r, config.n)
-        if group_order(1, config.n) > config.budget:
-            raise BudgetExceededError(
-                f"{group_order(1, config.n)} elements exceed budget {config.budget}"
-            )
+        check_group_order(1, config.n, config.budget)  # G_eps has n! windows
         elements = g_epsilon(EpsilonVector(colors))
     else:
         elements = enumerate_group(config.r, config.n, config.budget)
@@ -353,9 +355,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BUDGET
     if config.out is None:
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(config.out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as err:
+        print(f"error: cannot write --out: {err}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

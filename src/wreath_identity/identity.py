@@ -27,7 +27,6 @@ import time
 from collections.abc import Sequence
 
 from .poly import (
-    Monomial,
     TruncatedPoly,
     expand_denominator,
     first_difference,
@@ -42,6 +41,7 @@ from .wreath import (
     colored_window,
     descent_set,
     g_epsilon,
+    g_epsilon_gf,
     numerator,
     ordinary_descent_set,
 )
@@ -285,20 +285,6 @@ def omega_map(
     )
 
 
-# -- generating functions over G_eps ------------------------------------------
-
-
-def g_epsilon_gf(eps: EpsilonVector, cap: int) -> TruncatedPoly:
-    """Sum of q^maj t^des u^col over G_eps (col is constant on the set)."""
-    color_weight = eps.col()
-    terms: dict[Monomial, int] = {}
-    for w in g_epsilon(eps):
-        d = descent_set(w)
-        mon = Monomial(sum(d), len(d), color_weight)
-        terms[mon] = terms.get(mon, 0) + 1
-    return TruncatedPoly(cap, terms)
-
-
 # -- step verifiers ------------------------------------------------------------
 
 
@@ -468,8 +454,12 @@ def verify_theorem(
     """The full identity, compared exactly after clearing the denominator.
 
     Left side: the sum over heights k <= cap of ([k+1]_q + u[r-1]_u[k]_q)^n t^k.
-    Right side: the joint (maj, des, col) distribution over the whole group
-    times the expanded denominator, truncated at the same cap.
+    Right side: the joint (maj, des, col) distribution over the whole group,
+    assembled by :func:`numerator` from the few-colors pieces
+    G_(1^l, 0^(n-l)), times the expanded denominator, truncated at the same
+    cap.  The right side is built first, so parameters whose group order
+    r^n * n! exceeds the budget raise BudgetExceededError before any
+    left-side work.
     """
     if r < 1 or n < 1:
         raise ValueError(f"r and n must be positive, got r={r}, n={n}")
@@ -477,8 +467,8 @@ def verify_theorem(
         cap = n + 3
     started = time.perf_counter()
     params = {"r": r, "n": n, "t_cap": cap}
+    rhs = numerator(r, n, cap, budget) * expand_denominator(n, cap)
     lhs = TruncatedPoly.zero(cap)
     for k in range(cap + 1):
         lhs = lhs + lhs_term(r, n, k, cap)
-    rhs = numerator(r, n, cap, budget) * expand_denominator(n, cap)
     return report_from_comparison("theorem", params, lhs, rhs, started)

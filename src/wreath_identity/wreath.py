@@ -25,7 +25,7 @@ import math
 import re
 from collections.abc import Iterator, Sequence
 
-from .poly import Monomial, TruncatedPoly
+from .poly import Monomial, TruncatedPoly, u_integer
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -210,15 +210,24 @@ def group_order(r: int, n: int) -> int:
     return r**n * math.factorial(n)
 
 
-def enumerate_group(
-    r: int, n: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[ColoredPermutation]:
-    """All r^n * n! elements, lexicographic by pi then by window color vector."""
+def check_group_order(r: int, n: int, budget: int) -> None:
+    """Raise BudgetExceededError when r^n * n! exceeds budget.
+
+    Every command that walks or stands in for the whole group calls this
+    first, so a refusal costs nothing.
+    """
     if r < 1 or n < 1:
         raise ValueError(f"r and n must be positive, got r={r}, n={n}")
     total = group_order(r, n)
     if total > budget:
         raise BudgetExceededError(f"group order {total} exceeds budget {budget}")
+
+
+def enumerate_group(
+    r: int, n: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[ColoredPermutation]:
+    """All r^n * n! elements, lexicographic by pi then by window color vector."""
+    check_group_order(r, n, budget)
 
     def generate() -> Iterator[ColoredPermutation]:
         for pi in itertools.permutations(range(1, n + 1)):
@@ -228,14 +237,54 @@ def enumerate_group(
     return generate()
 
 
+def g_epsilon_gf(eps: EpsilonVector, cap: int) -> TruncatedPoly:
+    """Sum of q^maj t^des u^col over G_eps (col is constant on the set)."""
+    color_weight = eps.col()
+    terms: dict[Monomial, int] = {}
+    for w in g_epsilon(eps):
+        d = descent_set(w)
+        mon = Monomial(sum(d), len(d), color_weight)
+        terms[mon] = terms.get(mon, 0) + 1
+    return TruncatedPoly(cap, terms)
+
+
 def numerator(
     r: int, n: int, cap: int | None = None, budget: int = DEFAULT_BUDGET
 ) -> TruncatedPoly:
     """The joint distribution sum q^maj t^des u^col over all of Z_r wr S_n.
 
+    Assembled from the n+1 few-colors pieces instead of the r^n * n!
+    elements.  A window's descent set depends only on which letters are
+    colored (the same-support lemma), and the order-preserving relabeling
+    carries every G_eps with l colored letters onto G_(1^l, 0^(n-l)) with
+    the same descent sets.  The C(n, l) supports of size l, each letter
+    colored 1..r-1, therefore contribute
+
+        C(n, l) [r-1]_u^l GF(G_(1^l, 0^(n-l))),
+
+    where GF carries u^l; with one color only l = 0 occurs.  The cost is
+    (n+1) * n! windows.  The budget still caps r^n * n!, the size of the
+    group this stands in for; :func:`numerator_by_enumeration` is the
+    brute-force oracle.
+
     des never exceeds n, so any cap >= n (the default is n itself) captures
     the polynomial exactly.
     """
+    check_group_order(r, n, budget)
+    if cap is None:
+        cap = n
+    colors = u_integer(r - 1, cap)
+    total = TruncatedPoly.zero(cap)
+    for l in range(n + 1 if r > 1 else 1):
+        piece = g_epsilon_gf(EpsilonVector((1,) * l + (0,) * (n - l)), cap)
+        total = total + math.comb(n, l) * colors**l * piece
+    return total
+
+
+def numerator_by_enumeration(
+    r: int, n: int, cap: int | None = None, budget: int = DEFAULT_BUDGET
+) -> TruncatedPoly:
+    """:func:`numerator` by walking all r^n * n! elements: the test oracle."""
     if cap is None:
         cap = n
     terms: dict[Monomial, int] = {}

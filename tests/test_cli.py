@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from wreath_identity import identity
 from wreath_identity.cli import main
 
 from golden import DES_101, FIGURE_R2_K1, FIGURE_R2_K2
@@ -39,6 +40,19 @@ def test_verify_rejects_nonpositive_r(capsys):
 def test_verify_budget_exceeded(capsys):
     code, _, err = run_cli(capsys, "verify", "--r", "3", "--n", "4", "--budget", "100")
     assert code == 3
+    assert "budget" in err
+
+
+def test_verify_refuses_before_any_step(capsys, monkeypatch):
+    def cone_sum(*args):
+        raise AssertionError("a cone sum ran before the budget refusal")
+
+    monkeypatch.setattr(identity, "cone_sum", cone_sum)
+    code, out, err = run_cli(
+        capsys, "verify", "--all-steps", "--r", "3", "--n", "5", "--budget", "1000"
+    )
+    assert code == 3
+    assert out == ""
     assert "budget" in err
 
 
@@ -91,6 +105,10 @@ def test_verify_threads_env(capsys, monkeypatch):
 def test_verify_threads_env_invalid(capsys, monkeypatch):
     monkeypatch.setenv("WREATH_ID_THREADS", "lots")
     code, _, err = run_cli(capsys, "verify", "--r", "2", "--n", "2")
+    assert code == 2
+    assert "WREATH_ID_THREADS" in err
+    # A usage error wins over the up-front budget refusal.
+    code, _, err = run_cli(capsys, "verify", "--r", "3", "--n", "7")
     assert code == 2
     assert "WREATH_ID_THREADS" in err
 
@@ -251,6 +269,17 @@ def test_out_writes_file(capsys, tmp_path):
     assert out == ""
     grid = json.loads(path.read_text())
     assert len(grid) == 9
+
+
+def test_out_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "verify", "--r", "1", "--n", "1", "--out", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not path.exists()
 
 
 def test_unknown_command_exits_2(capsys):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from wreath_identity import identity
 from wreath_identity.poly import (
     Monomial,
     TruncatedPoly,
@@ -12,6 +13,7 @@ from wreath_identity.poly import (
     q_integer,
 )
 from wreath_identity.wreath import (
+    BudgetExceededError,
     ColoredPermutation,
     EpsilonVector,
     descent_set,
@@ -298,6 +300,15 @@ def test_theorem_rejects_bad_parameters():
         verify_theorem(0, 2)
     with pytest.raises(ValueError):
         verify_theorem(2, 0)
+
+
+def test_theorem_refuses_before_building_the_lhs(monkeypatch):
+    def lhs_term(*args):
+        raise AssertionError("the left side was built before the budget check")
+
+    monkeypatch.setattr(identity, "lhs_term", lhs_term)
+    with pytest.raises(BudgetExceededError):
+        verify_theorem(3, 7)  # 3^7 * 7! = 11022480 elements > 10^7
 
 
 def test_numerator_regroups_by_color_vector():

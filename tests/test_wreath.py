@@ -23,6 +23,7 @@ from wreath_identity.wreath import (
     group_order,
     maj,
     numerator,
+    numerator_by_enumeration,
     ordinary_descent_set,
 )
 
@@ -219,6 +220,8 @@ def test_enumeration_order_is_lex_by_pi_then_colors():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         enumerate_group(3, 3, budget=100)
+    with pytest.raises(BudgetExceededError):
+        numerator(3, 3, budget=100)
 
 
 def test_colors_all_zero_when_r_is_one():
@@ -303,3 +306,11 @@ def test_numerator_r1_is_euler_mahonian(n):
         mon = Monomial(sum(d), len(d), 0)
         expected[mon] = expected.get(mon, 0) + 1
     assert numerator(1, n) == TruncatedPoly(n, expected)
+
+
+@pytest.mark.parametrize(
+    "r,n", [(r, n) for r in (1, 2, 3) for n in range(1, 6)] + [(4, 5), (2, 6)]
+)
+def test_numerator_matches_enumeration_oracle(r, n):
+    cap = n + 3
+    assert numerator(r, n, cap) == numerator_by_enumeration(r, n, cap)
