@@ -4,8 +4,6 @@ Every command is deterministic: byte-identical output for identical
 configuration (report timings are zeroed on emission for this reason).
 Exit codes: 0 all checks pass, 1 a verified claim failed, 2 usage or
 precondition error, 3 enumeration budget exceeded or coefficient overflow.
-The environment variable WREATH_ID_THREADS caps worker threads for
-independent verifier steps (0 = one per CPU).
 """
 
 from __future__ import annotations
@@ -14,10 +12,8 @@ import argparse
 import dataclasses
 import itertools
 import json
-import os
 import sys
-from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable, Sequence
 
 from .poly import CoefficientOverflowError
 from .wreath import (
@@ -51,6 +47,10 @@ EXIT_BUDGET = 3
 
 class UsageError(ValueError):
     """Invalid flag combination or precondition violation (exit 2)."""
+
+
+class ClaimFailedError(RuntimeError):
+    """A checked claim that has no report to carry its failure (exit 1)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,91 +96,78 @@ class RunConfig:
         )
 
 
-def worker_count() -> int:
-    raw = os.environ.get("WREATH_ID_THREADS", "1")
-    try:
-        configured = int(raw)
-    except ValueError:
-        raise UsageError(f"WREATH_ID_THREADS must be an integer, got {raw!r}")
-    if configured < 0:
-        raise UsageError(f"WREATH_ID_THREADS must be >= 0, got {configured}")
-    if configured == 0:
-        return os.cpu_count() or 1
-    return configured
-
-
-def _run_tasks(
-    tasks: list[Callable[[], VerificationReport]], workers: int
-) -> list[VerificationReport]:
-    if workers == 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: task(), tasks))
-
-
 # -- command implementations ---------------------------------------------------
 
 
-def all_step_tasks(r, n, cap, budget) -> list[Callable[[], VerificationReport]]:
-    tasks: list[Callable[[], VerificationReport]] = [
-        lambda: verify_lemma_same_support(r, n, cap=cap, budget=budget)
-    ]
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _emit(
+    config: RunConfig, records: list, header: Sequence[str], rows: Iterable[Sequence]
+) -> str:
+    """Render records as indented JSON, or as TSV: header, then one line per row.
+
+    ``rows``, the TSV projection of ``records``, is read only for tsv; pass a
+    generator, so that no list of row tuples is held next to the output.
+    """
+    if config.format == "json":
+        return json.dumps(records, indent=2) + "\n"
+    lines = itertools.chain([header], rows)
+    return "".join("\t".join(map(str, fields)) + "\n" for fields in lines)
+
+
+def _slice_points(config: RunConfig) -> int:
+    """Point count of the height-k slice [0, k*r]^n; refuses more than the budget."""
+    points = (config.k * config.r + 1) ** config.n
+    if points > config.budget:
+        raise BudgetExceededError(f"grid of {points} points exceeds budget {config.budget}")
+    return points
+
+
+def all_step_reports(r, n, cap, budget) -> list[VerificationReport]:
+    reports = [verify_lemma_same_support(r, n, cap=cap, budget=budget)]
     max_l = n if r >= 2 else 0
-    for l in range(max_l + 1):
-        tasks.append(lambda l=l: descent_shift_check(l, n))
-    for l in range(max_l + 1):
-        tasks.append(lambda l=l: verify_prop_few_colors(l, n, cap, budget))
+    reports += [descent_shift_check(l, n) for l in range(max_l + 1)]
+    reports += [verify_prop_few_colors(l, n, cap, budget) for l in range(max_l + 1)]
     # One rearrangement pair per color multiset: lexicographic extremes.
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for colors in itertools.product(range(r), repeat=n):
         classes.setdefault(tuple(sorted(colors)), []).append(colors)
     for key in sorted(classes):
         group = classes[key]
-        first, last = group[0], group[-1]
-        tasks.append(
-            lambda first=first, last=last: verify_lemma_triple_preserving(
-                EpsilonVector(first), EpsilonVector(last)
-            )
+        reports.append(
+            verify_lemma_triple_preserving(EpsilonVector(group[0]), EpsilonVector(group[-1]))
         )
     for colors in itertools.product(range(r), repeat=n):
-        tasks.append(
-            lambda colors=colors: verify_corollary(EpsilonVector(colors), cap, budget)
-        )
-    tasks.append(lambda: verify_theorem(r, n, cap, budget))
-    return tasks
+        reports.append(verify_corollary(EpsilonVector(colors), cap, budget))
+    reports.append(verify_theorem(r, n, cap, budget))
+    return reports
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, str]:
-    workers = worker_count()
     # Every run ends with the theorem, which refuses a group of more than
     # budget elements; refuse before any other step does its work.
     check_group_order(config.r, config.n, config.budget)
     if config.all_steps:
-        tasks = all_step_tasks(config.r, config.n, config.t_cap, config.budget)
+        reports = all_step_reports(config.r, config.n, config.t_cap, config.budget)
     else:
-        tasks = [lambda: verify_theorem(config.r, config.n, config.t_cap, config.budget)]
-    reports = _run_tasks(tasks, workers)
-    # Zero the timings: command output must be byte-identical across runs.
-    reports = [dataclasses.replace(rep, elapsed_ms=0.0) for rep in reports]
+        reports = [verify_theorem(config.r, config.n, config.t_cap, config.budget)]
     code = EXIT_PASS if all(rep.ok for rep in reports) else EXIT_CLAIM_FAILED
-    if config.format == "json":
-        text = json.dumps([rep.to_dict() for rep in reports], indent=2) + "\n"
-    else:
-        lines = ["claim\tstatus\tparams\tcounterexample\telapsed_ms"]
-        for rep in reports:
-            lines.append(
-                "\t".join(
-                    [
-                        rep.claim,
-                        rep.status,
-                        json.dumps(rep.params, separators=(",", ":")),
-                        json.dumps(rep.counterexample, separators=(",", ":")),
-                        str(rep.elapsed_ms),
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    return code, text
+    # Zero the timings: command output must be byte-identical across runs.
+    records = [dict(rep.to_dict(), elapsed_ms=0.0) for rep in reports]
+    rows = (
+        (
+            d["claim"],
+            d["status"],
+            _compact(d["params"]),
+            _compact(d["counterexample"]),
+            d["elapsed_ms"],
+        )
+        for d in records
+    )
+    header = ("claim", "status", "params", "counterexample", "elapsed_ms")
+    return code, _emit(config, records, header, rows)
 
 
 def cmd_table(config: RunConfig) -> tuple[int, str]:
@@ -190,7 +177,7 @@ def cmd_table(config: RunConfig) -> tuple[int, str]:
         elements = g_epsilon(EpsilonVector(colors))
     else:
         elements = enumerate_group(config.r, config.n, config.budget)
-    rows = [
+    records = [
         {
             "window": w.window_str(),
             "Des": sorted(descent_set(w)),
@@ -200,47 +187,21 @@ def cmd_table(config: RunConfig) -> tuple[int, str]:
         }
         for w in elements
     ]
-    if config.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = ["window\tDes\tmaj\tdes\tcol"]
-        for row in rows:
-            lines.append(
-                "\t".join(
-                    [
-                        row["window"],
-                        json.dumps(row["Des"], separators=(",", ":")),
-                        str(row["maj"]),
-                        str(row["des"]),
-                        str(row["col"]),
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    return EXIT_PASS, text
+    rows = ((d["window"], _compact(d["Des"]), d["maj"], d["des"], d["col"]) for d in records)
+    return EXIT_PASS, _emit(config, records, ("window", "Des", "maj", "des", "col"), rows)
 
 
 def cmd_figure(config: RunConfig) -> tuple[int, str]:
     if config.n != 2:
         raise UsageError(f"figure grids are only defined for n = 2, got n={config.n}")
-    if (config.k * config.r + 1) ** 2 > config.budget:
-        raise BudgetExceededError(
-            f"grid of {(config.k * config.r + 1) ** 2} points exceeds budget {config.budget}"
-        )
+    _slice_points(config)
     grid = figure_grid(config.r, config.k)
-    if config.format == "json":
-        text = json.dumps(grid, indent=2) + "\n"
-    else:
-        lines = ["v1\tv2\tq\tu"]
-        for cell in grid:
-            lines.append(
-                f"{cell['v'][0]}\t{cell['v'][1]}\t{cell['monomial']['q']}\t{cell['monomial']['u']}"
-            )
-        text = "\n".join(lines) + "\n"
-    return EXIT_PASS, text
+    rows = ((*cell["v"], cell["monomial"]["q"], cell["monomial"]["u"]) for cell in grid)
+    return EXIT_PASS, _emit(config, grid, ("v1", "v2", "q", "u"), rows)
 
 
 def cmd_decompose(config: RunConfig) -> tuple[int, str]:
+    expected = _slice_points(config)
     cells = []
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for colors in itertools.product(range(config.r), repeat=config.n):
@@ -248,26 +209,21 @@ def cmd_decompose(config: RunConfig) -> tuple[int, str]:
         points = [p.v for p in enumerate_slice(spec, config.budget)]
         for v in points:
             if v in seen:
-                raise RuntimeError(
+                raise ClaimFailedError(
                     f"cube decomposition violated: {v} in both {seen[v]} and {colors}"
                 )
             seen[v] = colors
         cells.append({"eps": list(colors), "points": [list(v) for v in points]})
-    expected = (config.k * config.r + 1) ** config.n
     if len(seen) != expected:
-        raise RuntimeError(
+        raise ClaimFailedError(
             f"cube decomposition violated: {len(seen)} of {expected} points covered"
         )
-    if config.format == "json":
-        text = json.dumps(cells, indent=2) + "\n"
-    else:
-        lines = ["eps\tv"]
-        for cell in cells:
-            eps_text = ",".join(str(c) for c in cell["eps"])
-            for v in cell["points"]:
-                lines.append(eps_text + "\t" + ",".join(str(x) for x in v))
-        text = "\n".join(lines) + "\n"
-    return EXIT_PASS, text
+    rows = (
+        (",".join(map(str, cell["eps"])), ",".join(map(str, v)))
+        for cell in cells
+        for v in cell["points"]
+    )
+    return EXIT_PASS, _emit(config, cells, ("eps", "v"), rows)
 
 
 # -- argument handling ----------------------------------------------------------
@@ -350,6 +306,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except ClaimFailedError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CLAIM_FAILED
     except (BudgetExceededError, CoefficientOverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BUDGET

@@ -289,13 +289,20 @@ def omega_map(
 
 
 def _same_support_pairs(r: int, n: int):
-    """Lexicographic pairs of distinct color vectors with equal support."""
+    """Each color vector paired with the lexicographically first of its support.
+
+    Both compared properties are equalities, hence transitive, so these
+    r^n - 2^n pairs check the same claim as all pairs within a support, and
+    the first failing pair is the one the all-pairs order would meet first.
+    """
     by_support: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
     for colors in itertools.product(range(r), repeat=n):
         mask = tuple(c > 0 for c in colors)
         by_support.setdefault(mask, []).append(colors)
     for mask in sorted(by_support):
-        yield from itertools.combinations(by_support[mask], 2)
+        first, *rest = by_support[mask]
+        for other in rest:
+            yield first, other
 
 
 def verify_lemma_same_support(
@@ -307,10 +314,10 @@ def verify_lemma_same_support(
 ) -> VerificationReport:
     """Same-support color vectors share descent sets and shifted cone sums.
 
-    Descent part: for every pair of window color vectors with equal support
-    and every pi, the two windows have identical descent sets.  Cone part
-    (optional): the cone sums of two same-support cubes agree after shifting
-    by u to a common color weight.
+    Descent part: for every window color vector, the first vector of equal
+    support, and every pi, the two windows have identical descent sets.
+    Cone part (optional): the cone sums of the same pairs of cubes agree
+    after shifting by u to a common color weight.
     """
     started = time.perf_counter()
     params = {"r": r, "n": n, "t_cap": cap, "check_cone": check_cone}

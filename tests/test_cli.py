@@ -1,10 +1,12 @@
+import hashlib
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from wreath_identity import identity
+from wreath_identity import cli, identity
 from wreath_identity.cli import main
 
 from golden import DES_101, FIGURE_R2_K1, FIGURE_R2_K2
@@ -41,6 +43,10 @@ def test_verify_budget_exceeded(capsys):
     code, _, err = run_cli(capsys, "verify", "--r", "3", "--n", "4", "--budget", "100")
     assert code == 3
     assert "budget" in err
+    # A usage error wins over the up-front budget refusal.
+    code, _, err = run_cli(capsys, "verify", "--r", "3", "--n", "7", "--t-cap", "-1")
+    assert code == 2
+    assert "--t-cap" in err
 
 
 def test_verify_refuses_before_any_step(capsys, monkeypatch):
@@ -93,24 +99,33 @@ def test_verify_tsv(capsys):
     assert lines[1].startswith("theorem\tpass\t")
 
 
-def test_verify_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("WREATH_ID_THREADS", "2")
-    code, out, _ = run_cli(
-        capsys, "verify", "--r", "2", "--n", "2", "--all-steps"
-    )
-    assert code == 0
-    assert all(rep["status"] == "pass" for rep in json.loads(out))
+# sha256 of stdout per command and format: output is pinned byte for byte,
+# so a change to any emitter or to the order of records shows here.
+STDOUT_SHA256 = {
+    ("verify --r 2 --n 3", "json"): "e4de9974bf13485bcee43018275029f9c4562cbde55ae6e9a69730c23f9558eb",
+    ("verify --r 2 --n 3", "tsv"): "f5f772a3dcabf68a0e90e91a1e38d19b7b96cb8207d2b7c1387bb59201aeb2de",
+    ("verify --all-steps --r 2 --n 3", "json"): "055edaaffcf350d633e82914183501818b7b6799c50f82c52c23611c9e6a8c81",
+    ("verify --all-steps --r 2 --n 3", "tsv"): "bcd63501d5dd8b4cc0dae3b4a6de5b6772e35260cffe8213272f54cadcff1883",
+    ("table --r 2 --n 3", "json"): "699c9ba113cfb513b5740497702100dec53db99d2eb3c60c50d02957556596d4",
+    ("table --r 2 --n 3", "tsv"): "74bfdc1ca84d90b62a2d3fde8cd15c9afd727ccb6fa1f9d5f78024e8863cd8ba",
+    ("table --r 3 --n 3 --filter-eps 1,0,1", "json"): "e3eeb124972cc128b3197a1327f702e9a11b46470ad1cd46ec1769587aa6bea4",
+    ("table --r 3 --n 3 --filter-eps 1,0,1", "tsv"): "153e71ac7d8b454369c64f5558814f5a57b3b59118ba043c406f978978397345",
+    ("figure --r 2 --n 2 --k 2", "json"): "4d6f8ecd8d7b5bce1672156844e899b09feb5cac4e470db03cbf163dbe9f4dfa",
+    ("figure --r 2 --n 2 --k 2", "tsv"): "d68d3b5580a2d3e8a4327f6b710cf9001f111717bc44ef0e32cc3b0fefd32111",
+    ("decompose --r 2 --n 3 --k 2", "json"): "ace363796b9a3c247e7c1b83846f0c0e0c7122c12ada4033d254c44f76ebb52d",
+    ("decompose --r 2 --n 3 --k 2", "tsv"): "e6128dbba4bf44f89e991eed7f2d806755d977e2b84fe328e01c52e489659562",
+}
 
 
-def test_verify_threads_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("WREATH_ID_THREADS", "lots")
-    code, _, err = run_cli(capsys, "verify", "--r", "2", "--n", "2")
-    assert code == 2
-    assert "WREATH_ID_THREADS" in err
-    # A usage error wins over the up-front budget refusal.
-    code, _, err = run_cli(capsys, "verify", "--r", "3", "--n", "7")
-    assert code == 2
-    assert "WREATH_ID_THREADS" in err
+@pytest.mark.parametrize(
+    "command,fmt,digest",
+    [(command, fmt, digest) for (command, fmt), digest in STDOUT_SHA256.items()],
+    ids=[f"{command} {fmt}" for command, fmt in STDOUT_SHA256],
+)
+def test_stdout_golden_sha256(capsys, command, fmt, digest):
+    code, out, err = run_cli(capsys, *command.split(), "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_output_is_deterministic(capsys):
@@ -255,6 +270,37 @@ def test_decompose_covers_every_point_once(capsys):
     cells = json.loads(out)
     seen = [tuple(v) for cell in cells for v in cell["points"]]
     assert len(seen) == len(set(seen)) == 10 * 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figure", "--r", "4", "--n", "2", "--k", "25", "--budget", "10200"),
+        ("decompose", "--r", "4", "--n", "3", "--k", "9", "--budget", "20000"),
+    ],
+    ids=["figure", "decompose"],
+)
+def test_slice_commands_refuse_over_budget_up_front(capsys, monkeypatch, argv):
+    def fail(*args):
+        raise AssertionError("a slice was enumerated before the budget refusal")
+
+    monkeypatch.setattr(cli, "enumerate_slice", fail)
+    monkeypatch.setattr(cli, "figure_grid", fail)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+def test_decompose_overlap_is_a_failed_claim(capsys, monkeypatch):
+    # Every cell claims the apex, so the cells no longer partition the slice.
+    monkeypatch.setattr(
+        cli, "enumerate_slice", lambda spec, budget: [SimpleNamespace(v=(0, 0))]
+    )
+    code, out, err = run_cli(capsys, "decompose", "--r", "2", "--n", "2", "--k", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cube decomposition violated: ")
 
 
 # -- plumbing ----------------------------------------------------------------------

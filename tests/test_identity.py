@@ -244,6 +244,20 @@ def test_lemma_same_support_passes(r, n):
     assert report.ok, report.to_dict()
 
 
+def test_same_support_pairs_lead_with_first_of_support():
+    pairs = list(identity._same_support_pairs(3, 4))
+    assert len(pairs) == 3**4 - 2**4 == 65
+    support = lambda colors: tuple(c > 0 for c in colors)
+    vectors = sorted(itertools.product(range(3), repeat=4))
+    first = {}
+    for colors in vectors:
+        first.setdefault(support(colors), colors)
+    assert sorted(other for _, other in pairs) == [
+        v for v in vectors if first[support(v)] != v
+    ]
+    assert all(lead == first[support(other)] for lead, other in pairs)
+
+
 @pytest.mark.parametrize("l,n", [(0, 2), (1, 2), (2, 3), (3, 3)])
 def test_prop_few_colors_passes(l, n):
     report = verify_prop_few_colors(l, n, cap=n + 2)
