@@ -4,7 +4,9 @@ The identity equates, for positive integers r and n, the height-generating
 sum of ([k+1]_q + u[r-1]_u[k]_q)^n t^k with the joint (maj, des, col)
 distribution over all r-colored permutations of n letters divided by
 prod_{j=0}^n (1 - q^j t).  Every construction used in its geometric proof
-is implemented and checked independently by brute-force enumeration.
+is implemented and checked exhaustively; where a step is computed from a
+factorisation instead (the group side in :func:`numerator`, the cube side
+in :func:`cone_sum`), the brute-force enumeration is kept as its oracle.
 """
 
 from .poly import (
@@ -45,6 +47,7 @@ from .geometry import (
     CubeSliceSpec,
     LatticePoint,
     cone_sum,
+    cone_sum_by_enumeration,
     delta_membership,
     enumerate_slice,
     figure_grid,

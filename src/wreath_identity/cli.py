@@ -28,7 +28,7 @@ from .wreath import (
     g_epsilon,
     maj,
 )
-from .geometry import CubeSliceSpec, enumerate_slice, figure_grid
+from .geometry import CubeSliceSpec, check_cone_budget, enumerate_slice, figure_grid
 from .identity import (
     VerificationReport,
     descent_shift_check,
@@ -147,9 +147,12 @@ def all_step_reports(r, n, cap, budget) -> list[VerificationReport]:
 
 def cmd_verify(config: RunConfig) -> tuple[int, str]:
     # Every run ends with the theorem, which refuses a group of more than
-    # budget elements; refuse before any other step does its work.
+    # budget elements, and every all-steps run sums the cone of a cube up
+    # to height t_cap (the l = 0 few-colors cube, at least); refuse before
+    # any step does its work.
     check_group_order(config.r, config.n, config.budget)
     if config.all_steps:
+        check_cone_budget(config.n, config.t_cap, config.budget)
         reports = all_step_reports(config.r, config.n, config.t_cap, config.budget)
     else:
         reports = [verify_theorem(config.r, config.n, config.t_cap, config.budget)]

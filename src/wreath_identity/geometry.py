@@ -7,10 +7,17 @@ alpha >= 0; its lattice points are organized by the height-k slices
 indexed by color vectors (:func:`slice_membership`), and [0, k]^n further
 decomposes into dilated partially open simplices indexed by permutations
 (:func:`delta_membership`).  Everything here uses integer comparisons only.
+
+A cube's slice is a product of coordinate intervals and a point's weight
+is t^k times a product of coordinate weights, so :func:`cone_sum` expands
+each slice as a product of per-coordinate interval sums, without visiting
+its lattice points.  :func:`cone_sum_by_enumeration` visits every point
+and is the oracle it is checked against.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -121,19 +128,17 @@ def enumerate_slice(
         raise BudgetExceededError(
             f"slice of size up to {(k + 1) ** eps.n} exceeds budget {budget}"
         )
+    ranges = [_cube_interval(c, k) for c in eps.colors]
+    return (LatticePoint(v, k) for v in itertools.product(*ranges))
 
-    def generate() -> Iterator[LatticePoint]:
-        if k == 0:
-            if all(c == 0 for c in eps.colors):
-                yield LatticePoint((0,) * eps.n, 0)
-            return
-        ranges = [
-            range(k * ei + (1 if ei > 0 else 0), k * (ei + 1) + 1) for ei in eps.colors
-        ]
-        for v in itertools.product(*ranges):
-            yield LatticePoint(v, k)
 
-    return generate()
+def _cube_interval(color: int, k: int) -> range:
+    """Coordinate values of the height-k slice of a cube along one axis.
+
+    (k*c, k*(c+1)] for a color c > 0 (lower facet removed), [0, k] for c = 0;
+    at k = 0 that leaves the apex coordinate 0 for c = 0 and nothing else.
+    """
+    return range(k * color + (1 if color > 0 else 0), k * (color + 1) + 1)
 
 
 def slice_sum(
@@ -149,13 +154,62 @@ def slice_sum(
     return TruncatedPoly(cap, terms)
 
 
-def cone_sum(
+def cone_sum_by_enumeration(
     eps: EpsilonVector, cap: int, budget: int = DEFAULT_BUDGET
 ) -> TruncatedPoly:
-    """Sum of m over the cone of the eps cube, up to t-degree cap."""
+    """Sum of m over the cone of the eps cube, up to t-degree cap, point by point.
+
+    The oracle for :func:`cone_sum`: it visits every lattice point of every
+    slice up to height cap.
+    """
     total = TruncatedPoly.zero(cap)
     for k in range(cap + 1):
         total = total + slice_sum(CubeSliceSpec(eps, k), cap, budget)
+    return total
+
+
+def check_cone_budget(n: int, cap: int, budget: int) -> None:
+    """Raise BudgetExceededError when a cone slice up to height cap exceeds budget.
+
+    A height-k cube slice has up to (k+1)^n points; the message names the
+    lowest height that does not fit, the one enumeration would stop at.
+    """
+    if cap < 0:
+        raise ValueError(f"t_cap must be nonnegative, got {cap}")
+    if (cap + 1) ** n > budget:
+        k = next(k for k in range(cap + 1) if (k + 1) ** n > budget)
+        raise BudgetExceededError(
+            f"slice of size up to {(k + 1) ** n} exceeds budget {budget}"
+        )
+
+
+def cone_sum(
+    eps: EpsilonVector, cap: int, budget: int = DEFAULT_BUDGET
+) -> TruncatedPoly:
+    """Sum of m over the cone of the eps cube, up to t-degree cap.
+
+    Each height-k slice is the product of its coordinate intervals I_i and
+    m = t^k * prod_i m', so by distributivity the slice sums to
+    t^k * prod_i sum_{j in I_i} m'(j, k).  The budget bounds the lattice
+    points this stands for, so it refuses exactly where
+    :func:`cone_sum_by_enumeration` does.
+    """
+    check_cone_budget(eps.n, cap, budget)
+    # The product over coordinates does not depend on their order.
+    return _factorised_cone_sum(tuple(sorted(eps.colors)), cap)
+
+
+@functools.lru_cache(maxsize=None)
+def _factorised_cone_sum(colors: tuple[int, ...], cap: int) -> TruncatedPoly:
+    total = TruncatedPoly.zero(cap)
+    for k in range(cap + 1):
+        term = TruncatedPoly.term(cap, 1, t=k)
+        for color, count in collections.Counter(colors).items():
+            interval = TruncatedPoly(
+                cap, ((m_prime(j, k), 1) for j in _cube_interval(color, k))
+            )
+            term = term * interval**count
+        total = total + term
     return total
 
 

@@ -12,6 +12,7 @@ wrapping or growing silently.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
@@ -248,11 +249,13 @@ def u_integer(n: int, cap: int) -> TruncatedPoly:
     return TruncatedPoly(cap, {Monomial(0, 0, j): 1 for j in range(n)})
 
 
+@functools.lru_cache(maxsize=None)
 def expand_denominator(n: int, cap: int) -> TruncatedPoly:
     """Power-series expansion of prod_{j=0}^{n} 1/(1 - q^j t) up to t^cap.
 
     Each factor expands to the geometric series sum_m q^(jm) t^m, and the
-    product is taken with ordinary truncated multiplication.
+    product is taken with ordinary truncated multiplication.  The result is
+    immutable, so it is built once per (n, cap) and shared.
 
     >>> expand_denominator(1, 2)
     <TruncatedPoly cap=2: 1 + t + q*t + t^2 + q*t^2 + q^2*t^2>

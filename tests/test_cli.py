@@ -62,6 +62,23 @@ def test_verify_refuses_before_any_step(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_verify_all_steps_refuses_a_cone_over_budget_up_front(capsys, monkeypatch):
+    # The theorem alone fits: 2^3 * 3! = 48 elements.
+    code, _, _ = run_cli(capsys, "verify", "--r", "2", "--n", "3", "--budget", "60")
+    assert code == 0
+
+    def descent_set(*args):
+        raise AssertionError("a step ran before the cone budget refusal")
+
+    monkeypatch.setattr(identity, "descent_set", descent_set)
+    code, out, err = run_cli(
+        capsys, "verify", "--all-steps", "--r", "2", "--n", "3", "--budget", "60"
+    )
+    assert code == 3
+    assert out == ""
+    assert "slice of size up to 64 exceeds budget 60" in err
+
+
 def test_verify_all_steps(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--r", "2", "--n", "2", "--t-cap", "4", "--all-steps"

@@ -8,6 +8,7 @@ from wreath_identity.geometry import (
     CubeSliceSpec,
     LatticePoint,
     cone_sum,
+    cone_sum_by_enumeration,
     delta_membership,
     enumerate_slice,
     figure_grid,
@@ -213,6 +214,33 @@ def test_cone_sum_closed_form_for_leading_ones():
                 )
             expected = expected * TruncatedPoly.term(cap, 1, u=l)
             assert cone_sum(eps, cap) == expected
+
+
+@pytest.mark.parametrize(
+    "r,n", [(r, n) for r in (1, 2, 3) for n in (1, 2, 3, 4)] + [(4, 3), (2, 5)]
+)
+def test_cone_sum_matches_enumeration_oracle(r, n):
+    for cap in (0, 1, n + 3):
+        for colors in itertools.product(range(r), repeat=n):
+            eps = EpsilonVector(colors)
+            assert cone_sum(eps, cap) == cone_sum_by_enumeration(eps, cap), (colors, cap)
+
+
+@pytest.mark.parametrize(
+    "cone", [cone_sum, cone_sum_by_enumeration], ids=["factorised", "oracle"]
+)
+def test_cone_sum_refuses_exactly_past_the_budget(cone):
+    eps = EpsilonVector((1, 0, 2))
+    assert cone(eps, 4, budget=5**3) == cone_sum_by_enumeration(eps, 4)
+    with pytest.raises(
+        BudgetExceededError, match="slice of size up to 125 exceeds budget 124$"
+    ):
+        cone(eps, 4, budget=5**3 - 1)
+    # The message names the lowest height whose slice does not fit.
+    with pytest.raises(
+        BudgetExceededError, match="slice of size up to 64 exceeds budget 30$"
+    ):
+        cone(eps, 4, budget=30)
 
 
 def test_cone_sum_apex_only():

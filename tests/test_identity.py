@@ -275,6 +275,24 @@ def test_triple_preserving_passes():
     assert report.ok
 
 
+def test_a_wrong_factorised_cone_sum_fails_few_colors_and_corollary(monkeypatch):
+    factorised = identity.cone_sum
+
+    def cone_sum(eps, cap, budget):
+        return factorised(eps, cap, budget) + TruncatedPoly.term(cap, 1, q=1, t=cap)
+
+    monkeypatch.setattr(identity, "cone_sum", cone_sum)
+    report = verify_prop_few_colors(2, 3, cap=5)
+    assert not report.ok
+    assert report.counterexample == {
+        "part": "factorised",
+        "monomial": {"q": 1, "t": 5, "u": 0},
+        "lhs": 1,
+        "rhs": 0,
+    }
+    assert not verify_corollary(EpsilonVector((1, 0, 1)), cap=5).ok
+
+
 @pytest.mark.parametrize("eps", [(0, 0), (1, 0), (2, 1), (0, 2, 1)])
 def test_corollary_passes(eps):
     report = verify_corollary(EpsilonVector(eps), cap=4)
