@@ -6,7 +6,9 @@ distribution over all r-colored permutations of n letters divided by
 prod_{j=0}^n (1 - q^j t).  Every construction used in its geometric proof
 is implemented and checked exhaustively; where a step is computed from a
 factorisation instead (the group side in :func:`numerator`, the cube side
-in :func:`cone_sum`), the brute-force enumeration is kept as its oracle.
+in :func:`cone_sum`), the brute-force enumeration is kept as its oracle,
+and the term-pair product :func:`mul_by_terms` is the oracle of the
+packed polynomial multiply.
 """
 
 from .poly import (
@@ -17,6 +19,7 @@ from .poly import (
     first_difference,
     from_records,
     lhs_term,
+    mul_by_terms,
     q_integer,
     to_records,
     u_integer,

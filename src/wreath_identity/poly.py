@@ -5,9 +5,21 @@ t-exponent exceeds the cap, while q- and u-exponents stay exact.  Both sides
 of the identity this package verifies have finite q,u content at each
 t-degree, so truncating in t alone is enough to make equality testing exact.
 
+A polynomial is a map from Monomial to coefficient.  Multiplication works
+one t-degree at a time by Kronecker substitution: the (q, u) terms of a
+t-slice become the digits of one Python int, slot q*U + u with U wider than
+any u-degree of the product, so one big-int product per pair of t-degrees
+(t1 + t2 <= cap) does the work of all its term pairs.  Slots are sized from
+the a-priori bound ||a||_1 * ||b||_inf on every product coefficient, so no
+coefficient can spill into its neighbour; signed coefficients are packed as
+the difference of their positive and negative parts and read back through a
+constant offset per slot.  ``mul_by_terms`` keeps the term-pair loop as the
+oracle.
+
 Coefficients are integers kept inside the signed 64-bit range; an operation
-that would leave that range raises CoefficientOverflowError instead of
-wrapping or growing silently.
+whose result would leave that range raises CoefficientOverflowError instead
+of wrapping or growing silently.  Products are exact before this check, so a
+product is refused exactly when one of its coefficients leaves the range.
 """
 
 from __future__ import annotations
@@ -58,6 +70,8 @@ class TruncatedPoly:
     <TruncatedPoly cap=2: 1 + 2*q*t + q^2*t^2>
     >>> p ** 3                                  # t^3 falls past the cap
     <TruncatedPoly cap=2: 1 + 3*q*t + 3*q^2*t^2>
+    >>> (1 - TruncatedPoly.term(2, 1, q=1, t=1)) * p
+    <TruncatedPoly cap=2: 1 - q^2*t^2>
     """
 
     __slots__ = ("t_cap", "_terms")
@@ -79,6 +93,19 @@ class TruncatedPoly:
         canonical = {m: c for m, c in canonical.items() if c != 0}
         object.__setattr__(self, "t_cap", t_cap)
         object.__setattr__(self, "_terms", canonical)
+
+    @classmethod
+    def _trusted(cls, t_cap: int, terms: dict[Monomial, int]) -> TruncatedPoly:
+        """Wrap terms that are canonical by construction, without re-validating.
+
+        The ring operations return through here.  The caller guarantees that
+        every key is a Monomial with t <= t_cap, that no coefficient is zero
+        and that every coefficient has passed ``_checked``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "t_cap", t_cap)
+        object.__setattr__(self, "_terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedPoly is immutable")
@@ -133,13 +160,19 @@ class TruncatedPoly:
             return NotImplemented
         out = dict(self._terms)
         for mon, coeff in other._terms.items():
-            out[mon] = _checked(out.get(mon, 0) + coeff)
-        return TruncatedPoly(self.t_cap, out)
+            total = _checked(out.get(mon, 0) + coeff)
+            if total:
+                out[mon] = total
+            else:
+                del out[mon]
+        return TruncatedPoly._trusted(self.t_cap, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> TruncatedPoly:
-        return TruncatedPoly(self.t_cap, {m: -c for m, c in self._terms.items()})
+        return TruncatedPoly._trusted(
+            self.t_cap, {m: _checked(-c) for m, c in self._terms.items()}
+        )
 
     def __sub__(self, other) -> TruncatedPoly:
         other = self._coerce(other)
@@ -154,16 +187,9 @@ class TruncatedPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        cap = self.t_cap
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                t = m1.t + m2.t
-                if t > cap:
-                    continue
-                mon = Monomial(m1.q + m2.q, t, m1.u + m2.u)
-                out[mon] = _checked(out.get(mon, 0) + _checked(c1 * c2))
-        return TruncatedPoly(cap, out)
+        return TruncatedPoly._trusted(
+            self.t_cap, _kronecker_product(self._terms, other._terms, self.t_cap)
+        )
 
     __rmul__ = __mul__
 
@@ -230,6 +256,106 @@ class TruncatedPoly:
 
     def __repr__(self) -> str:
         return f"<TruncatedPoly cap={self.t_cap}: {self}>"
+
+
+# -- the multiplication kernel ---------------------------------------------------
+
+
+def _pack(
+    terms: dict[Monomial, int], span: int, width: int
+) -> dict[int, tuple[int, int]]:
+    """Each t-slice of terms as (packed int, largest q-exponent).
+
+    The term q^a t^k u^b lands in slot a*span + b of the t^k int, each slot
+    ``width`` bytes wide, little end first.  Positive and negative parts
+    are packed separately and subtracted, so the packed int is the exact
+    signed sum c * 256^(width*slot).
+    """
+    by_t: dict[int, list[tuple[int, int, int]]] = {}
+    for mon, coeff in terms.items():
+        by_t.setdefault(mon.t, []).append((mon.q, mon.u, coeff))
+    packed = {}
+    for t, entries in by_t.items():
+        top_q = max(q for q, _, _ in entries)
+        size = (top_q + 1) * span * width
+        positive, negative = bytearray(size), bytearray(size)
+        for q, u, coeff in entries:
+            at = (q * span + u) * width
+            if coeff > 0:
+                positive[at : at + width] = coeff.to_bytes(width, "little")
+            else:
+                negative[at : at + width] = (-coeff).to_bytes(width, "little")
+        value = int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+        packed[t] = (value, top_q)
+    return packed
+
+
+def _kronecker_product(
+    a: dict[Monomial, int], b: dict[Monomial, int], cap: int
+) -> dict[Monomial, int]:
+    """The canonical terms of a * b truncated at t^cap, every coefficient checked.
+
+    No product coefficient exceeds min(||a||_1 ||b||_inf, ||a||_inf ||b||_1)
+    in absolute value, so a slot of ``width`` bytes, whose top bit stays
+    clear for that bound, holds each one exactly: adding 2^(8*width-1) to
+    every slot turns the signed sum into plain base-256^width digits, which
+    are read back one slot at a time and only then range-checked.
+    """
+    if not a or not b:
+        return {}
+    bound = min(
+        sum(map(abs, a.values())) * max(map(abs, b.values())),
+        max(map(abs, a.values())) * sum(map(abs, b.values())),
+    )
+    width = bound.bit_length() // 8 + 1
+    span = max(m.u for m in a) + max(m.u for m in b) + 1
+    a_slices = _pack(a, span, width)
+    b_slices = a_slices if b is a else _pack(b, span, width)
+    sums: dict[int, int] = {}
+    top_q: dict[int, int] = {}
+    for t1, (x, qa) in a_slices.items():
+        for t2, (y, qb) in b_slices.items():
+            t = t1 + t2
+            if t <= cap:
+                sums[t] = sums.get(t, 0) + x * y
+                top_q[t] = max(top_q.get(t, 0), qa + qb)
+    bias = 1 << (8 * width - 1)
+    bias_digit = bias.to_bytes(width, "little")
+    out: dict[Monomial, int] = {}
+    for t, value in sums.items():
+        slots = (top_q[t] + 1) * span
+        digits = (value + int.from_bytes(bias_digit * slots, "little")).to_bytes(
+            slots * width, "little"
+        )
+        at = 0
+        for q in range(top_q[t] + 1):
+            for u in range(span):
+                coeff = int.from_bytes(digits[at : at + width], "little") - bias
+                at += width
+                if coeff:
+                    out[Monomial(q, t, u)] = _checked(coeff)
+    return out
+
+
+def mul_by_terms(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
+    """The product a * b by the schoolbook loop over term pairs: the oracle.
+
+    Every term product and every partial sum is checked, so this raises
+    CoefficientOverflowError on a partial sum that leaves the signed 64-bit
+    range even where the finished coefficient would fit; ``a * b`` checks
+    only the finished coefficients.
+    """
+    b = a._coerce(b)
+    cap = a.t_cap
+    out: dict[Monomial, int] = {}
+    for m1, c1 in a._terms.items():
+        for m2, c2 in b._terms.items():
+            t = m1.t + m2.t
+            if t > cap:
+                continue
+            mon = Monomial(m1.q + m2.q, t, m1.u + m2.u)
+            out[mon] = _checked(out.get(mon, 0) + _checked(c1 * c2))
+    return TruncatedPoly(cap, out)
 
 
 # -- q/u-integers and the identity's building blocks -------------------------

@@ -6,8 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from wreath_identity import cli, identity
+from wreath_identity import cli, identity, poly
 from wreath_identity.cli import main
+from wreath_identity.poly import expand_denominator
+from wreath_identity.wreath import numerator
 
 from golden import DES_101, FIGURE_R2_K1, FIGURE_R2_K2
 
@@ -77,6 +79,18 @@ def test_verify_all_steps_refuses_a_cone_over_budget_up_front(capsys, monkeypatc
     assert code == 3
     assert out == ""
     assert "slice of size up to 64 exceeds budget 60" in err
+
+
+def test_verify_coefficient_overflow_exits_3(capsys, monkeypatch):
+    # The right side num / denom agrees with the left side up to t^6, so a
+    # verify run must build its largest coefficient.
+    rhs = numerator(2, 3, 6) * expand_denominator(3, 6)
+    largest = max(abs(c) for c in rhs.terms.values())
+    monkeypatch.setattr(poly, "INT64_MAX", largest - 1)
+    code, out, err = run_cli(capsys, "verify", "--r", "2", "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert "outside signed 64-bit range" in err
 
 
 def test_verify_all_steps(capsys):

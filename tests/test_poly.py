@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from wreath_identity.poly import (
     CoefficientOverflowError,
     INT64_MAX,
+    INT64_MIN,
     Monomial,
     TruncatedPoly,
     expand_denominator,
     first_difference,
     from_records,
     lhs_term,
+    mul_by_terms,
     q_integer,
     to_records,
     u_integer,
@@ -244,6 +246,130 @@ def test_expand_denominator_truncation_coherence(n):
 def test_truncate_cannot_raise_the_cap():
     with pytest.raises(ValueError):
         q_integer(2, 3).truncate(4)
+
+
+# -- the Kronecker kernel against the term-pair oracle ----------------------------
+
+
+def polys(cap, coeffs):
+    monomials = st.tuples(
+        st.integers(0, 12), st.integers(0, cap), st.integers(0, 12)
+    ).map(lambda e: Monomial(*e))
+    return st.dictionaries(monomials, coeffs, max_size=8).map(
+        lambda terms: TruncatedPoly(cap, terms)
+    )
+
+
+def poly_pairs(left, right):
+    return st.integers(0, 6).flatmap(
+        lambda cap: st.tuples(polys(cap, left), polys(cap, right))
+    )
+
+
+SMALL = st.integers(-40, 40)
+NEAR_2_62 = st.builds(
+    lambda sign, offset: sign * (2**62 + offset),
+    st.sampled_from([1, -1]),
+    st.integers(-(2**20), 2**20),
+)
+
+
+def unchecked_product(a, b):
+    """The exact product's nonzero coefficients, with no range check."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if m1.t + m2.t <= a.t_cap:
+                mon = Monomial(m1.q + m2.q, m1.t + m2.t, m1.u + m2.u)
+                out[mon] = out.get(mon, 0) + c1 * c2
+    return {mon: c for mon, c in out.items() if c}
+
+
+@given(poly_pairs(SMALL, SMALL))
+def test_product_matches_the_oracle(pair):
+    a, b = pair
+    assert a * b == mul_by_terms(a, b)
+    assert b * a == mul_by_terms(b, a)
+
+
+@given(poly_pairs(SMALL, SMALL), SMALL)
+def test_int_operands_match_the_oracle(pair, k):
+    a, _ = pair
+    constant = TruncatedPoly.term(a.t_cap, k)
+    assert k * a == mul_by_terms(constant, a)
+    assert a * k == mul_by_terms(a, constant)
+
+
+def test_zero_operands_give_zero():
+    p = poly_of(3, {(1, 1, 0): 5, (0, 2, 4): -2})
+    zero = TruncatedPoly.zero(3)
+    for product in (p * zero, zero * p, zero * zero, p * 0, 0 * p):
+        assert product == zero == mul_by_terms(p, zero)
+
+
+@given(poly_pairs(NEAR_2_62, st.integers(-3, 3)))
+def test_product_near_the_int64_bounds_is_exact_or_refused(pair):
+    big, small = pair
+    exact = unchecked_product(big, small)
+    if all(INT64_MIN <= c <= INT64_MAX for c in exact.values()):
+        assert (big * small).terms == exact
+        assert (small * big).terms == exact
+        try:
+            assert mul_by_terms(big, small) == big * small
+        except CoefficientOverflowError:
+            pass  # the oracle also refuses a partial sum outside int64
+    else:
+        with pytest.raises(CoefficientOverflowError):
+            big * small
+        with pytest.raises(CoefficientOverflowError):
+            mul_by_terms(big, small)
+
+
+def test_product_reaches_both_int64_bounds_exactly():
+    one_plus_q = poly_of(0, {(0, 0, 0): 1, (1, 0, 0): 1})
+    half = 2**62
+
+    def q_coefficient(c0, c1):
+        return (poly_of(0, {(0, 0, 0): c0, (1, 0, 0): c1}) * one_plus_q).coefficient(q=1)
+
+    assert q_coefficient(half, half - 1) == INT64_MAX
+    assert q_coefficient(-half, -half) == INT64_MIN
+    with pytest.raises(CoefficientOverflowError):
+        q_coefficient(half, half)
+    with pytest.raises(CoefficientOverflowError):
+        q_coefficient(-half, -half - 1)
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 23, 24, 31, 32, 62])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, -1, -1, 1), (-1, 1, 1, -1)])
+def test_products_at_a_slot_width_boundary_unpack_exactly(bits, delta, signs):
+    # Every coefficient of the product equals the bound ||a||_1 * ||b||_inf,
+    # so neighbouring slots are all full; a carry or borrow between slots
+    # would change one of them.
+    c = 2**bits + delta
+    a = TruncatedPoly.term(2, c, t=1)
+    shape = [(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)]
+    b = poly_of(2, dict(zip(shape, signs)))
+    expected = poly_of(2, {(q, t + 1, u): sign * c for (q, t, u), sign in zip(shape, signs)})
+    assert a * b == expected == mul_by_terms(a, b)
+    # Here the bound is reached by a sum of three term products.
+    a3 = TruncatedPoly.term(2, c // 3) * q_integer(3, 2)
+    product = a3 * q_integer(3, 2)
+    assert product == mul_by_terms(a3, q_integer(3, 2))
+    assert product.coefficient(q=2) == 3 * (c // 3)
+
+
+def test_mixed_sign_product_is_exact_where_partial_sums_overflow():
+    # The q^2 coefficient is x + x - x: the result fits, but the running sum
+    # in term-pair order reaches 2^63 first, so the oracle refuses it.
+    x = 2**62
+    a = poly_of(0, {(j, 0, 0): -x for j in range(4)})
+    b = poly_of(0, {(0, 0, 0): 1, (1, 0, 0): -1, (2, 0, 0): -1, (3, 0, 0): 1})
+    expected = poly_of(0, {(0, 0, 0): -x, (2, 0, 0): x, (4, 0, 0): x, (6, 0, 0): -x})
+    assert a * b == expected
+    with pytest.raises(CoefficientOverflowError):
+        mul_by_terms(a, b)
 
 
 # -- inspection and interchange ---------------------------------------------------
