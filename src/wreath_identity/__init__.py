@@ -17,23 +17,16 @@ from .poly import (
     TruncatedPoly,
     expand_denominator,
     first_difference,
-    from_records,
     lhs_term,
     mul_by_terms,
     q_integer,
-    to_records,
     u_integer,
 )
 from .wreath import (
     BudgetExceededError,
-    ColoredLetter,
     ColoredPermutation,
     DEFAULT_BUDGET,
     EpsilonVector,
-    EQUAL,
-    GREATER,
-    LESS,
-    bz_compare,
     col,
     colored_window,
     des,
@@ -56,7 +49,6 @@ from .geometry import (
     figure_grid,
     find_simplex,
     full_slice_sum,
-    lattice_point,
     m,
     m_prime,
     slice_membership,

@@ -40,16 +40,6 @@ class LatticePoint(NamedTuple):
     k: int
 
 
-def lattice_point(v: Sequence[int], k: int, r: int) -> LatticePoint:
-    """Validated constructor: every coordinate must lie in [0, k*r]."""
-    v = tuple(v)
-    if k < 0:
-        raise ValueError(f"height must be nonnegative, got {k}")
-    if any(not 0 <= vi <= k * r for vi in v):
-        raise ValueError(f"point {v} outside [0, {k * r}]^{len(v)} at height {k}")
-    return LatticePoint(v, k)
-
-
 @functools.lru_cache(maxsize=None)
 def m_prime(j: int, k: int) -> Monomial:
     """Weight of the single coordinate value j at height k (t-free).
@@ -124,10 +114,7 @@ def enumerate_slice(
     support of eps.
     """
     k, eps = spec.k, spec.eps
-    if (k + 1) ** eps.n > budget:
-        raise BudgetExceededError(
-            f"slice of size up to {(k + 1) ** eps.n} exceeds budget {budget}"
-        )
+    check_cone_budget(eps.n, k, budget)
     ranges = [_cube_interval(c, k) for c in eps.colors]
     return (LatticePoint(v, k) for v in itertools.product(*ranges))
 
@@ -147,11 +134,8 @@ def slice_sum(
     """Pointwise sum of m over one cube slice (brute-force enumeration)."""
     if cap is None:
         cap = spec.k
-    terms: dict[Monomial, int] = {}
-    for p in enumerate_slice(spec, budget):
-        mon = m(p)
-        terms[mon] = terms.get(mon, 0) + 1
-    return TruncatedPoly(cap, terms)
+    points = enumerate_slice(spec, budget)
+    return TruncatedPoly(cap, collections.Counter(map(m, points)))
 
 
 def cone_sum_by_enumeration(
@@ -227,11 +211,8 @@ def full_slice_sum(
         raise BudgetExceededError(
             f"slice of size {(k * r + 1) ** n} exceeds budget {budget}"
         )
-    terms: dict[Monomial, int] = {}
-    for v in itertools.product(range(k * r + 1), repeat=n):
-        mon = m(LatticePoint(v, k))
-        terms[mon] = terms.get(mon, 0) + 1
-    return TruncatedPoly(cap, terms)
+    points = itertools.product(range(k * r + 1), repeat=n)
+    return TruncatedPoly(cap, collections.Counter(m(LatticePoint(v, k)) for v in points))
 
 
 def delta_membership(alpha: Sequence[int], k: int, pi: Sequence[int]) -> bool:
@@ -244,13 +225,22 @@ def delta_membership(alpha: Sequence[int], k: int, pi: Sequence[int]) -> bool:
         raise ValueError(f"alpha {tuple(alpha)} outside [0, {k}]^{len(alpha)}")
     if len(alpha) != len(pi):
         raise ValueError(f"dimension mismatch: alpha {tuple(alpha)}, pi {tuple(pi)}")
+    return descending_chain(alpha, k, pi)
+
+
+def descending_chain(alpha: Sequence[int], top: int, pi: Sequence[int]) -> bool:
+    """Whether top >= alpha[pi(1)] >= ... >= alpha[pi(n)] holds.
+
+    The step from alpha[pi(i)] to alpha[pi(i+1)] must be strict when i is a
+    classical descent of pi.  Inputs are not validated; the dilated simplex
+    test (:func:`delta_membership`, top = k) and the composition chain
+    (top = k minus the leading color) both reduce to this.
+    """
     descents = ordinary_descent_set(pi)
-    prev = k
-    for i, letter in enumerate(pi, start=1):
+    prev = top
+    for i, letter in enumerate(pi):
         cur = alpha[letter - 1]
-        if cur > prev:
-            return False
-        if i - 1 in descents and cur == prev:
+        if cur > prev or (i in descents and cur == prev):
             return False
         prev = cur
     return True

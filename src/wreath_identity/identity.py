@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import time
 from collections.abc import Sequence
 
@@ -45,7 +44,7 @@ from .wreath import (
     numerator,
     ordinary_descent_set,
 )
-from .geometry import cone_sum, cone_sum_by_enumeration
+from .geometry import cone_sum, cone_sum_by_enumeration, descending_chain
 
 Composition = tuple[int, ...]
 
@@ -95,9 +94,6 @@ class VerificationReport:
             "counterexample": self.counterexample,
             "elapsed_ms": self.elapsed_ms,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def report_from_comparison(
@@ -198,17 +194,6 @@ def check_composition(alpha: Sequence[int], k: int, l: int, n: int) -> Compositi
     return alpha
 
 
-def _chain_holds(alpha: Sequence[int], k: int, eps: EpsilonVector, sigma: Sequence[int]) -> bool:
-    descents = ordinary_descent_set(sigma)
-    prev = k - eps.color_of(sigma[0])
-    for i, letter in enumerate(sigma, start=1):
-        cur = alpha[letter - 1]
-        if cur > prev or (i - 1 in descents and cur == prev):
-            return False
-        prev = cur
-    return True
-
-
 def find_pi_for_composition(
     alpha: Sequence[int], k: int, l: int, n: int
 ) -> ColoredPermutation:
@@ -225,7 +210,8 @@ def find_pi_for_composition(
     rho_perm = rho(l, n)
     matches = []
     for pi in itertools.permutations(range(1, n + 1)):
-        if _chain_holds(alpha, k, eps, compose(rho_perm, pi)):
+        sigma = compose(rho_perm, pi)
+        if descending_chain(alpha, k - eps.color_of(sigma[0]), sigma):
             matches.append(pi)
     if len(matches) != 1:
         raise RuntimeError(
@@ -321,7 +307,6 @@ def verify_lemma_same_support(
     """
     started = time.perf_counter()
     params = {"r": r, "n": n, "t_cap": cap, "check_cone": check_cone}
-    counterexample = None
 
     for e1, e2 in _same_support_pairs(r, n):
         for pi in itertools.permutations(range(1, n + 1)):
@@ -336,30 +321,25 @@ def verify_lemma_same_support(
                     "lhs": sorted(d1),
                     "rhs": sorted(d2),
                 }
-                break
-        if counterexample:
-            break
+                return _finish("same_support", params, counterexample, started)
 
-    if counterexample is None and check_cone:
+    if check_cone:
         for e1, e2 in _same_support_pairs(r, n):
             lhs = cone_sum(EpsilonVector(e1), cap, budget)
             rhs = cone_sum(EpsilonVector(e2), cap, budget)
-            lhs = lhs * TruncatedPoly.term(cap, 1, u=sum(e2))
-            rhs = rhs * TruncatedPoly.term(cap, 1, u=sum(e1))
-            diff = first_difference(lhs, rhs)
-            if diff is not None:
-                mon, c_lhs, c_rhs = diff
-                counterexample = {
-                    "part": "cone_sums",
-                    "eps": list(e1),
-                    "eps_prime": list(e2),
-                    "monomial": {"q": mon.q, "t": mon.t, "u": mon.u},
-                    "lhs": c_lhs,
-                    "rhs": c_rhs,
-                }
-                break
+            context = {"part": "cone_sums", "eps": list(e1), "eps_prime": list(e2)}
+            report = report_from_comparison(
+                "same_support",
+                params,
+                lhs * TruncatedPoly.term(cap, 1, u=sum(e2)),
+                rhs * TruncatedPoly.term(cap, 1, u=sum(e1)),
+                started,
+                context,
+            )
+            if not report.ok:
+                return report
 
-    return _finish("same_support", params, counterexample, started)
+    return _finish("same_support", params, None, started)
 
 
 def verify_prop_few_colors(

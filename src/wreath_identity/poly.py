@@ -128,11 +128,10 @@ class TruncatedPoly:
         return TruncatedPoly(self.t_cap, {m: c for m, c in self._terms.items() if m.t == k})
 
     def evaluate(self, q: int = 1, t: int = 1, u: int = 1) -> int:
-        """Exact integer evaluation (checked against the coefficient range)."""
-        total = 0
-        for mon, coeff in self._terms.items():
-            total = _checked(total + coeff * q**mon.q * t**mon.t * u**mon.u)
-        return total
+        """Exact integer evaluation; as for products, only the final value is range-checked."""
+        return _checked(
+            sum(c * q**mon.q * t**mon.t * u**mon.u for mon, c in self._terms.items())
+        )
 
     def truncate(self, new_cap: int) -> TruncatedPoly:
         """Re-truncate to a smaller (or equal) cap."""
@@ -421,22 +420,3 @@ def first_difference(a: TruncatedPoly, b: TruncatedPoly) -> tuple[Monomial, int,
             return mon, ca, cb
     return None
 
-
-# -- interchange format -------------------------------------------------------
-
-
-def to_records(p: TruncatedPoly) -> list[dict[str, int]]:
-    """Serialize as records {"q","t","u","coeff"} sorted by (t, q, u).
-
-    The sorted record list is the bit-exact interchange form used by the CLI.
-    """
-    return [
-        {"q": mon.q, "t": mon.t, "u": mon.u, "coeff": coeff}
-        for mon, coeff in p.sorted_terms()
-    ]
-
-
-def from_records(records: Iterable[Mapping[str, int]], t_cap: int) -> TruncatedPoly:
-    return TruncatedPoly(
-        t_cap, ((Monomial(r["q"], r["t"], r["u"]), r["coeff"]) for r in records)
-    )

@@ -4,11 +4,11 @@ An element of Z_r wr S_n is a pair (epsilon, pi) displayed in window
 notation [pi(1)^e1 ... pi(n)^en]: pi is a permutation of {1..n} written as
 the tuple of its window values, and e_i is the color carried by window
 position i.  Descents are taken with respect to the weak order on colored
-letters realized by :func:`bz_sort_key`: zero-colored letters increase with
-value, positive-colored letters sit strictly below the sentinel 0^0 and
-decrease with value, and two positive-colored copies of the same value are
-tied.  Position 0 of every window holds the sentinel 0^0, so a window can
-have a descent at position 0.
+letters v^c that :func:`bz_sort_key` alone defines: zero-colored letters
+increase with value, positive-colored letters sit strictly below the
+sentinel 0^0 and decrease with value, and two positive-colored copies of
+the same value are tied.  Position 0 of every window holds the sentinel
+0^0, so a window can have a descent at position 0.
 
 Two color-indexing conventions coexist and must not be conflated:
 :class:`ColoredPermutation` colors are indexed by window position, while
@@ -19,6 +19,7 @@ reindexing color_i = eps[pi(i)] explicitly.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -27,30 +28,11 @@ from collections.abc import Iterator, Sequence
 
 from .poly import Monomial, TruncatedPoly, u_integer
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured object budget."""
-
-
-@dataclasses.dataclass(frozen=True)
-class ColoredLetter:
-    """A symbol value^color; value 0 only occurs as the sentinel 0^0."""
-
-    value: int
-    color: int
-
-    def __post_init__(self):
-        if self.value < 0 or self.color < 0:
-            raise ValueError(f"value and color must be nonnegative: {self}")
-        if self.value == 0 and self.color != 0:
-            raise ValueError(f"value 0 must carry color 0: {self}")
-
-    def __str__(self) -> str:
-        return f"{self.value}^{self.color}"
 
 
 def bz_sort_key(value: int, color: int) -> tuple[int, int]:
@@ -64,21 +46,6 @@ def bz_sort_key(value: int, color: int) -> tuple[int, int]:
     True
     """
     return (0, -value) if color > 0 else (1, value)
-
-
-def bz_compare(a: ColoredLetter, b: ColoredLetter) -> int:
-    """Three-way comparison under the colored-letter order.
-
-    Returns LESS, EQUAL or GREATER.  EQUAL only occurs on equal values
-    (same letter, or the same value under two positive colors); between
-    letters of distinct values the order is strict.
-    """
-    ka, kb = bz_sort_key(a.value, a.color), bz_sort_key(b.value, b.color)
-    if ka < kb:
-        return LESS
-    if ka > kb:
-        return GREATER
-    return EQUAL
 
 
 _TOKEN = re.compile(r"^(\d+)\^(\d+)$")
@@ -105,9 +72,6 @@ class ColoredPermutation:
     @property
     def n(self) -> int:
         return len(self.pi)
-
-    def letters(self) -> tuple[ColoredLetter, ...]:
-        return tuple(ColoredLetter(v, c) for v, c in zip(self.pi, self.colors))
 
     def window_str(self) -> str:
         """Window text form, e.g. ``[2^0 3^1 1^1]``.  Round-trips via parse."""
@@ -240,12 +204,11 @@ def enumerate_group(
 def g_epsilon_gf(eps: EpsilonVector, cap: int) -> TruncatedPoly:
     """Sum of q^maj t^des u^col over G_eps (col is constant on the set)."""
     color_weight = eps.col()
-    terms: dict[Monomial, int] = {}
+    counts = collections.Counter()
     for w in g_epsilon(eps):
         d = descent_set(w)
-        mon = Monomial(sum(d), len(d), color_weight)
-        terms[mon] = terms.get(mon, 0) + 1
-    return TruncatedPoly(cap, terms)
+        counts[Monomial(sum(d), len(d), color_weight)] += 1
+    return TruncatedPoly(cap, counts)
 
 
 def numerator(
@@ -287,9 +250,8 @@ def numerator_by_enumeration(
     """:func:`numerator` by walking all r^n * n! elements: the test oracle."""
     if cap is None:
         cap = n
-    terms: dict[Monomial, int] = {}
+    counts = collections.Counter()
     for w in enumerate_group(r, n, budget):
         d = descent_set(w)
-        mon = Monomial(sum(d), len(d), sum(w.colors))
-        terms[mon] = terms.get(mon, 0) + 1
-    return TruncatedPoly(cap, terms)
+        counts[Monomial(sum(d), len(d), sum(w.colors))] += 1
+    return TruncatedPoly(cap, counts)

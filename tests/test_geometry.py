@@ -14,7 +14,6 @@ from wreath_identity.geometry import (
     figure_grid,
     find_simplex,
     full_slice_sum,
-    lattice_point,
     m,
     m_prime,
     slice_membership,
@@ -69,14 +68,6 @@ def test_m_examples():
     assert m(LatticePoint((4, 2), 2)) == Monomial(3, 2, 1)
     assert m(LatticePoint((2, 2), 1)) == Monomial(0, 1, 2)
     assert m(LatticePoint((0, 0, 0), 0)) == Monomial(0, 0, 0)
-
-
-def test_lattice_point_bounds():
-    assert lattice_point((4, 0), 2, 2) == LatticePoint((4, 0), 2)
-    with pytest.raises(ValueError):
-        lattice_point((5, 0), 2, 2)
-    with pytest.raises(ValueError):
-        lattice_point((0, 0), -1, 2)
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from wreath_identity.wreath import (
     maj,
     numerator,
 )
+from wreath_identity.geometry import find_simplex
 from wreath_identity.identity import (
     Partition,
     VerificationReport,
@@ -132,6 +133,16 @@ def test_find_pi_two_letters_oracle():
     w = find_pi_for_composition((0, 0), 1, 1, 2)
     assert w.pi == (1, 2)
     assert w.window_str() == "[1^1 2^0]"
+
+
+def test_find_pi_at_no_colors_is_the_simplex_of_alpha():
+    # At l = 0, rho is the identity and the chain is topped by k, so the
+    # composition chain and the dilated simplex test are the same rule.
+    for n in (1, 2, 3):
+        for k in range(4):
+            for alpha in itertools.product(range(k + 1), repeat=n):
+                w = find_pi_for_composition(alpha, k, 0, n)
+                assert w.pi == find_simplex(alpha, k), (alpha, k)
 
 
 def test_composition_to_partition_worked_case():
@@ -256,6 +267,31 @@ def test_same_support_pairs_lead_with_first_of_support():
         v for v in vectors if first[support(v)] != v
     ]
     assert all(lead == first[support(other)] for lead, other in pairs)
+
+
+def test_a_wrong_cone_sum_fails_same_support_with_its_first_pair(monkeypatch):
+    factorised = identity.cone_sum
+
+    def cone_sum(eps, cap, budget):
+        total = factorised(eps, cap, budget)
+        if eps.colors == (2, 0, 1):
+            total = total + TruncatedPoly.term(cap, 1, q=1, t=2)
+        return total
+
+    monkeypatch.setattr(identity, "cone_sum", cone_sum)
+    report = verify_lemma_same_support(3, 3, cap=5)
+    assert not report.ok
+    assert report.counterexample == {
+        "part": "cone_sums",
+        "eps": [1, 0, 1],
+        "eps_prime": [2, 0, 1],
+        "monomial": {"q": 1, "t": 2, "u": 2},
+        "lhs": 0,
+        "rhs": 1,
+    }
+    assert list(report.counterexample) == [
+        "part", "eps", "eps_prime", "monomial", "lhs", "rhs"
+    ]
 
 
 @pytest.mark.parametrize("l,n", [(0, 2), (1, 2), (2, 3), (3, 3)])
@@ -387,7 +423,7 @@ def test_report_comparison_failure_carries_counterexample():
 
 def test_report_json_schema():
     report = verify_theorem(2, 1)
-    data = json.loads(report.to_json())
+    data = json.loads(json.dumps(report.to_dict()))
     assert list(data) == ["claim", "params", "status", "counterexample", "elapsed_ms"]
     assert data["status"] == "pass"
     assert data["counterexample"] is None

@@ -10,11 +10,9 @@ from wreath_identity.poly import (
     TruncatedPoly,
     expand_denominator,
     first_difference,
-    from_records,
     lhs_term,
     mul_by_terms,
     q_integer,
-    to_records,
     u_integer,
 )
 
@@ -372,7 +370,7 @@ def test_mixed_sign_product_is_exact_where_partial_sums_overflow():
         mul_by_terms(a, b)
 
 
-# -- inspection and interchange ---------------------------------------------------
+# -- inspection ------------------------------------------------------------------
 
 
 def test_coefficient_and_evaluate():
@@ -382,17 +380,29 @@ def test_coefficient_and_evaluate():
     assert p.evaluate(q=2, t=3, u=1) == 2 * 2 * 3 - 3 + 1
 
 
-def test_records_are_sorted_by_t_q_u():
+def test_evaluate_checks_only_the_final_value():
+    # 2^62 + 2^62 q - 2^62 q^2 at q = 1: the partial sum 2^63 leaves int64,
+    # the value 2^62 does not.
+    p = poly_of(0, {(0, 0, 0): 2**62, (1, 0, 0): 2**62, (2, 0, 0): -(2**62)})
+    assert p.evaluate(q=1) == 2**62
+    with pytest.raises(CoefficientOverflowError):
+        poly_of(0, {(0, 0, 0): 2**62, (1, 0, 0): 2**62}).evaluate(q=1)
+    assert poly_of(0, {(0, 0, 0): INT64_MAX - 1, (1, 0, 0): 1}).evaluate() == INT64_MAX
+    with pytest.raises(CoefficientOverflowError):
+        poly_of(0, {(0, 0, 0): INT64_MAX, (1, 0, 0): 1}).evaluate()
+    assert poly_of(0, {(0, 0, 0): INT64_MIN + 1, (1, 0, 0): -1}).evaluate() == INT64_MIN
+    with pytest.raises(CoefficientOverflowError):
+        poly_of(0, {(0, 0, 0): INT64_MIN, (1, 0, 0): -1}).evaluate()
+
+
+def test_sorted_terms_are_ordered_by_t_q_u():
     p = poly_of(2, {(2, 1, 0): 4, (0, 0, 1): 1, (1, 1, 0): -2, (0, 2, 2): 3})
-    records = to_records(p)
-    keys = [(rec["t"], rec["q"], rec["u"]) for rec in records]
+    terms = p.sorted_terms()
+    keys = [(mon.t, mon.q, mon.u) for mon, _ in terms]
     assert keys == sorted(keys)
-    assert records[0] == {"q": 0, "t": 0, "u": 1, "coeff": 1}
+    assert terms[0] == (Monomial(0, 0, 1), 1)
+    assert dict(terms) == p.terms
 
-
-@given(small_polys(4))
-def test_records_round_trip(p):
-    assert from_records(to_records(p), p.t_cap) == p
 
 
 def test_first_difference():

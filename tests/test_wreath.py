@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 from wreath_identity.poly import Monomial, TruncatedPoly
 from wreath_identity.wreath import (
     BudgetExceededError,
-    ColoredLetter,
     ColoredPermutation,
     EpsilonVector,
-    EQUAL,
-    GREATER,
-    LESS,
-    bz_compare,
+    bz_sort_key,
     col,
     colored_window,
     des,
@@ -38,79 +34,74 @@ def window(text):
 
 
 def test_compare_positive_colors_reverse_values():
-    assert bz_compare(ColoredLetter(3, 1), ColoredLetter(2, 1)) == LESS
-    assert bz_compare(ColoredLetter(2, 2), ColoredLetter(3, 2)) == GREATER
+    assert bz_sort_key(3, 1) < bz_sort_key(2, 1)
+    assert bz_sort_key(2, 2) > bz_sort_key(3, 2)
 
 
 def test_compare_positive_color_below_sentinel():
-    assert bz_compare(ColoredLetter(1, 2), ColoredLetter(0, 0)) == LESS
+    assert bz_sort_key(1, 2) < bz_sort_key(0, 0)
 
 
 def test_compare_zero_colors_increase_with_value():
-    assert bz_compare(ColoredLetter(0, 0), ColoredLetter(2, 0)) == LESS
-    assert bz_compare(ColoredLetter(1, 0), ColoredLetter(2, 0)) == LESS
+    assert bz_sort_key(0, 0) < bz_sort_key(2, 0)
+    assert bz_sort_key(1, 0) < bz_sort_key(2, 0)
 
 
 def test_compare_same_value_distinct_positive_colors_tie():
-    assert bz_compare(ColoredLetter(3, 2), ColoredLetter(3, 1)) == EQUAL
+    assert bz_sort_key(3, 2) == bz_sort_key(3, 1)
 
 
 def test_chain_for_three_colors_three_letters():
     # 3^2, 3^1 < 2^2, 2^1 < 1^2, 1^1 < 0^0 < 1^0 < 2^0 < 3^0
     chain = [
-        [ColoredLetter(3, 2), ColoredLetter(3, 1)],
-        [ColoredLetter(2, 2), ColoredLetter(2, 1)],
-        [ColoredLetter(1, 2), ColoredLetter(1, 1)],
-        [ColoredLetter(0, 0)],
-        [ColoredLetter(1, 0)],
-        [ColoredLetter(2, 0)],
-        [ColoredLetter(3, 0)],
+        [(3, 2), (3, 1)],
+        [(2, 2), (2, 1)],
+        [(1, 2), (1, 1)],
+        [(0, 0)],
+        [(1, 0)],
+        [(2, 0)],
+        [(3, 0)],
     ]
     for i, level in enumerate(chain):
         for a in level:
             for b in level:
-                assert bz_compare(a, b) == EQUAL
+                assert bz_sort_key(*a) == bz_sort_key(*b)
             for later in chain[i + 1 :]:
                 for b in later:
-                    assert bz_compare(a, b) == LESS
-                    assert bz_compare(b, a) == GREATER
+                    assert bz_sort_key(*a) < bz_sort_key(*b)
 
 
 def all_letters(max_value, max_color):
-    letters = [ColoredLetter(0, 0)]
+    """The sentinel 0^0 and every letter v^c with 1 <= v <= max_value."""
+    letters = [(0, 0)]
     for v in range(1, max_value + 1):
         for c in range(max_color + 1):
-            letters.append(ColoredLetter(v, c))
+            letters.append((v, c))
     return letters
 
 
 def test_compare_is_a_total_preorder():
     letters = all_letters(5, 3)
+    key = {letter: bz_sort_key(*letter) for letter in letters}
     for a in letters:
-        assert bz_compare(a, a) == EQUAL
         for b in letters:
-            assert bz_compare(a, b) == -bz_compare(b, a)
-            if a.value != b.value:
-                assert bz_compare(a, b) != EQUAL
+            # totality: every pair is comparable one way or the other
+            assert key[a] <= key[b] or key[b] <= key[a]
+            if a[0] != b[0]:
+                assert key[a] != key[b]
             for c in letters:
                 # transitivity of <=
-                if bz_compare(a, b) != GREATER and bz_compare(b, c) != GREATER:
-                    assert bz_compare(a, c) != GREATER
+                if key[a] <= key[b] and key[b] <= key[c]:
+                    assert key[a] <= key[c]
 
 
 def test_equal_only_on_equal_values():
     letters = all_letters(5, 3)
     for a in letters:
         for b in letters:
-            if bz_compare(a, b) == EQUAL:
-                assert a.value == b.value
-
-
-def test_letter_validation():
-    with pytest.raises(ValueError):
-        ColoredLetter(0, 1)
-    with pytest.raises(ValueError):
-        ColoredLetter(-1, 0)
+            if bz_sort_key(*a) == bz_sort_key(*b):
+                assert a[0] == b[0]
+                assert a == b or (a[1] > 0 and b[1] > 0)
 
 
 # -- windows and statistics --------------------------------------------------------
@@ -167,6 +158,11 @@ def test_window_validation():
         ColoredPermutation((1, 2), (0,))
     with pytest.raises(ValueError):
         ColoredPermutation((1, 2), (0, -1))
+    # value 0 is the sentinel and never a window letter
+    with pytest.raises(ValueError):
+        ColoredPermutation((0, 1), (1, 0))
+    with pytest.raises(ValueError):
+        ColoredPermutation((-1, 1), (0, 0))
 
 
 # -- window text form ---------------------------------------------------------------
