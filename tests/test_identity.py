@@ -135,14 +135,23 @@ def test_find_pi_two_letters_oracle():
     assert w.window_str() == "[1^1 2^0]"
 
 
-def test_find_pi_at_no_colors_is_the_simplex_of_alpha():
-    # At l = 0, rho is the identity and the chain is topped by k, so the
-    # composition chain and the dilated simplex test are the same rule.
-    for n in (1, 2, 3):
+def test_find_pi_is_the_simplex_of_alpha_read_through_rho():
+    # The composition chain is the dilated simplex test read along
+    # sigma = rho o pi; rho is an involution, so pi = rho o sigma.  The
+    # colored parts are bounded by k - 1, so topping the chain by k minus
+    # the leading color and topping it by k are the same rule.
+    cases = 0
+    for n in (1, 2, 3, 4):
         for k in range(4):
-            for alpha in itertools.product(range(k + 1), repeat=n):
-                w = find_pi_for_composition(alpha, k, 0, n)
-                assert w.pi == find_simplex(alpha, k), (alpha, k)
+            for l in range(n + 1):
+                bounds = [range(k)] * l + [range(k + 1)] * (n - l)
+                for alpha in itertools.product(*bounds):
+                    w = find_pi_for_composition(alpha, k, l, n)
+                    assert w.pi == compose(rho(l, n), find_simplex(alpha, k)), (alpha, k, l)
+                    cases += 1
+    assert cases == 1360
+    with pytest.raises(ValueError):
+        find_pi_for_composition((2, 0, 0), 2, 1, 3)  # a colored part equal to k
 
 
 def test_composition_to_partition_worked_case():
