@@ -22,13 +22,21 @@ from .wreath import (
     EpsilonVector,
     check_group_order,
     col,
+    color_classes,
     des,
     descent_set,
     enumerate_group,
+    few_colors_range,
     g_epsilon,
     maj,
 )
-from .geometry import CubeSliceSpec, check_cone_budget, enumerate_slice, figure_grid
+from .geometry import (
+    CubeSliceSpec,
+    check_cone_budget,
+    check_grid_budget,
+    enumerate_slice,
+    figure_grid,
+)
 from .identity import (
     VerificationReport,
     descent_shift_check,
@@ -76,8 +84,6 @@ class RunConfig:
             raise UsageError(f"--t-cap must be >= 0, got {self.t_cap}")
         if self.budget < 1:
             raise UsageError(f"--budget must be >= 1, got {self.budget}")
-        if self.format not in ("json", "tsv"):
-            raise UsageError(f"--format must be json or tsv, got {self.format!r}")
         if self.k is not None and self.k < 0:
             raise UsageError(f"--k must be >= 0, got {self.k}")
 
@@ -117,25 +123,12 @@ def _emit(
     return "".join("\t".join(map(str, fields)) + "\n" for fields in lines)
 
 
-def _slice_points(config: RunConfig) -> int:
-    """Point count of the height-k slice [0, k*r]^n; refuses more than the budget."""
-    points = (config.k * config.r + 1) ** config.n
-    if points > config.budget:
-        raise BudgetExceededError(f"grid of {points} points exceeds budget {config.budget}")
-    return points
-
-
 def all_step_reports(r, n, cap, budget) -> list[VerificationReport]:
     reports = [verify_lemma_same_support(r, n, cap=cap, budget=budget)]
-    max_l = n if r >= 2 else 0
-    reports += [descent_shift_check(l, n) for l in range(max_l + 1)]
-    reports += [verify_prop_few_colors(l, n, cap, budget) for l in range(max_l + 1)]
+    reports += [descent_shift_check(l, n) for l in few_colors_range(r, n)]
+    reports += [verify_prop_few_colors(l, n, cap, budget) for l in few_colors_range(r, n)]
     # One rearrangement pair per color multiset: lexicographic extremes.
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for colors in itertools.product(range(r), repeat=n):
-        classes.setdefault(tuple(sorted(colors)), []).append(colors)
-    for key in sorted(classes):
-        group = classes[key]
+    for group in color_classes(r, n, lambda colors: tuple(sorted(colors))):
         reports.append(
             verify_lemma_triple_preserving(EpsilonVector(group[0]), EpsilonVector(group[-1]))
         )
@@ -197,14 +190,14 @@ def cmd_table(config: RunConfig) -> tuple[int, str]:
 def cmd_figure(config: RunConfig) -> tuple[int, str]:
     if config.n != 2:
         raise UsageError(f"figure grids are only defined for n = 2, got n={config.n}")
-    _slice_points(config)
+    check_grid_budget(config.r, config.n, config.k, config.budget)
     grid = figure_grid(config.r, config.k)
     rows = ((*cell["v"], cell["monomial"]["q"], cell["monomial"]["u"]) for cell in grid)
     return EXIT_PASS, _emit(config, grid, ("v1", "v2", "q", "u"), rows)
 
 
 def cmd_decompose(config: RunConfig) -> tuple[int, str]:
-    expected = _slice_points(config)
+    expected = check_grid_budget(config.r, config.n, config.k, config.budget)
     cells = []
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for colors in itertools.product(range(config.r), repeat=config.n):

@@ -6,7 +6,8 @@ alpha >= 0; its lattice points are organized by the height-k slices
 :func:`m_prime` / :func:`m`, the box decomposes into half-open unit cubes
 indexed by color vectors (:func:`slice_membership`), and [0, k]^n further
 decomposes into dilated partially open simplices indexed by permutations
-(:func:`delta_membership`).  Everything here uses integer comparisons only.
+(:func:`delta_membership`), found by :func:`find_simplex`, the one search
+the composition bijection reads through rho.  It compares integers only.
 
 A cube's slice is a product of coordinate intervals and a point's weight
 is t^k times a product of coordinate weights, so :func:`cone_sum` expands
@@ -197,6 +198,14 @@ def _factorised_cone_sum(colors: tuple[int, ...], cap: int) -> TruncatedPoly:
     return total
 
 
+def check_grid_budget(r: int, n: int, k: int, budget: int) -> int:
+    """Point count (k*r + 1)^n of the slice ([0, kr]^n, k); refuses more than budget."""
+    points = (k * r + 1) ** n
+    if points > budget:
+        raise BudgetExceededError(f"grid of {points} points exceeds budget {budget}")
+    return points
+
+
 def full_slice_sum(
     r: int, n: int, k: int, cap: int | None = None, budget: int = DEFAULT_BUDGET
 ) -> TruncatedPoly:
@@ -207,10 +216,7 @@ def full_slice_sum(
         raise ValueError(f"height must be nonnegative, got {k}")
     if cap is None:
         cap = k
-    if (k * r + 1) ** n > budget:
-        raise BudgetExceededError(
-            f"slice of size {(k * r + 1) ** n} exceeds budget {budget}"
-        )
+    check_grid_budget(r, n, k, budget)
     points = itertools.product(range(k * r + 1), repeat=n)
     return TruncatedPoly(cap, collections.Counter(m(LatticePoint(v, k)) for v in points))
 
@@ -225,19 +231,8 @@ def delta_membership(alpha: Sequence[int], k: int, pi: Sequence[int]) -> bool:
         raise ValueError(f"alpha {tuple(alpha)} outside [0, {k}]^{len(alpha)}")
     if len(alpha) != len(pi):
         raise ValueError(f"dimension mismatch: alpha {tuple(alpha)}, pi {tuple(pi)}")
-    return descending_chain(alpha, k, pi)
-
-
-def descending_chain(alpha: Sequence[int], top: int, pi: Sequence[int]) -> bool:
-    """Whether top >= alpha[pi(1)] >= ... >= alpha[pi(n)] holds.
-
-    The step from alpha[pi(i)] to alpha[pi(i+1)] must be strict when i is a
-    classical descent of pi.  Inputs are not validated; the dilated simplex
-    test (:func:`delta_membership`, top = k) and the composition chain
-    (top = k minus the leading color) both reduce to this.
-    """
     descents = ordinary_descent_set(pi)
-    prev = top
+    prev = k
     for i, letter in enumerate(pi):
         cur = alpha[letter - 1]
         if cur > prev or (i in descents and cur == prev):

@@ -8,7 +8,8 @@ pipeline, from inner constructions outward:
 * the reversal ``rho`` transports colored descents to ordinary descents
   (:func:`descent_shift_check`),
 * bounded compositions biject with (permutation, partition) pairs
-  (:func:`find_pi_for_composition`, :func:`composition_to_partition`),
+  (:func:`find_pi_for_composition`, which reads the one simplex search
+  through ``rho``, and :func:`composition_to_partition`),
 * the order-preserving relabeling ``omega`` matches the statistics of two
   same-multiset color assignments (:func:`omega_map`),
 * cone sums equal group generating functions over the denominator
@@ -37,14 +38,16 @@ from .wreath import (
     ColoredPermutation,
     EpsilonVector,
     bz_sort_key,
+    color_classes,
     colored_window,
     descent_set,
+    few_colors_eps,
     g_epsilon,
     g_epsilon_gf,
     numerator,
     ordinary_descent_set,
 )
-from .geometry import cone_sum, cone_sum_by_enumeration, descending_chain
+from .geometry import cone_sum, cone_sum_by_enumeration, find_simplex
 
 Composition = tuple[int, ...]
 
@@ -87,13 +90,7 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return dataclasses.asdict(self)
 
 
 def report_from_comparison(
@@ -147,10 +144,6 @@ def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
     return tuple(outer[x - 1] for x in inner)
 
 
-def _ones_vector(l: int, n: int) -> EpsilonVector:
-    return EpsilonVector((1,) * l + (0,) * (n - l))
-
-
 def descent_shift_check(l: int, n: int) -> VerificationReport:
     """Check that rho converts colored descents to ordinary descents.
 
@@ -160,7 +153,7 @@ def descent_shift_check(l: int, n: int) -> VerificationReport:
     """
     started = time.perf_counter()
     params = {"l": l, "n": n}
-    eps = _ones_vector(l, n)
+    eps = few_colors_eps(l, n)
     rho_perm = rho(l, n)
     counterexample = None
     for pi in itertools.permutations(range(1, n + 1)):
@@ -199,26 +192,15 @@ def find_pi_for_composition(
 ) -> ColoredPermutation:
     """The unique window of G_(1^l, 0^(n-l)) whose shifted chain fits alpha.
 
-    The chain condition reads the composition along rho o pi, weakly
-    decreasing with strict drops at the ordinary descents and topped by
-    k minus the color of the leading letter.  Uniqueness is asserted by
-    exhaustive search; zero or multiple matches raise RuntimeError because
-    either would falsify the bijection this implements.
+    The chain reads alpha along sigma = rho o pi, weakly decreasing from k
+    with strict drops at the ordinary descents of sigma: the dilated simplex
+    test.  So sigma is ``find_simplex(alpha, k)``, and pi = rho o sigma as rho
+    is an involution; the colored parts are bounded by k - 1
+    (:func:`check_composition`).  Zero or several simplices raise RuntimeError.
     """
     alpha = check_composition(alpha, k, l, n)
-    eps = _ones_vector(l, n)
-    rho_perm = rho(l, n)
-    matches = []
-    for pi in itertools.permutations(range(1, n + 1)):
-        sigma = compose(rho_perm, pi)
-        if descending_chain(alpha, k - eps.color_of(sigma[0]), sigma):
-            matches.append(pi)
-    if len(matches) != 1:
-        raise RuntimeError(
-            f"composition chain violated at alpha={alpha}, k={k}, l={l}: "
-            f"{len(matches)} matching permutations"
-        )
-    return colored_window(eps, matches[0])
+    sigma = find_simplex(alpha, k)
+    return colored_window(few_colors_eps(l, n), compose(rho(l, n), sigma))
 
 
 def composition_to_partition(
@@ -281,32 +263,24 @@ def _same_support_pairs(r: int, n: int):
     r^n - 2^n pairs check the same claim as all pairs within a support, and
     the first failing pair is the one the all-pairs order would meet first.
     """
-    by_support: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
-    for colors in itertools.product(range(r), repeat=n):
-        mask = tuple(c > 0 for c in colors)
-        by_support.setdefault(mask, []).append(colors)
-    for mask in sorted(by_support):
-        first, *rest = by_support[mask]
+    for first, *rest in color_classes(r, n, lambda colors: tuple(c > 0 for c in colors)):
         for other in rest:
             yield first, other
 
 
 def verify_lemma_same_support(
-    r: int,
-    n: int,
-    cap: int = 5,
-    check_cone: bool = True,
-    budget: int = DEFAULT_BUDGET,
+    r: int, n: int, cap: int = 5, budget: int = DEFAULT_BUDGET
 ) -> VerificationReport:
     """Same-support color vectors share descent sets and shifted cone sums.
 
     Descent part: for every window color vector, the first vector of equal
     support, and every pi, the two windows have identical descent sets.
-    Cone part (optional): the cone sums of the same pairs of cubes agree
-    after shifting by u to a common color weight.
+    Cone part: the cone sums of the same pairs of cubes agree after
+    shifting by u to a common color weight.
     """
     started = time.perf_counter()
-    params = {"r": r, "n": n, "t_cap": cap, "check_cone": check_cone}
+    # Recorded command output (golden hashes, benchmark digests) has check_cone.
+    params = {"r": r, "n": n, "t_cap": cap, "check_cone": True}
 
     for e1, e2 in _same_support_pairs(r, n):
         for pi in itertools.permutations(range(1, n + 1)):
@@ -323,21 +297,20 @@ def verify_lemma_same_support(
                 }
                 return _finish("same_support", params, counterexample, started)
 
-    if check_cone:
-        for e1, e2 in _same_support_pairs(r, n):
-            lhs = cone_sum(EpsilonVector(e1), cap, budget)
-            rhs = cone_sum(EpsilonVector(e2), cap, budget)
-            context = {"part": "cone_sums", "eps": list(e1), "eps_prime": list(e2)}
-            report = report_from_comparison(
-                "same_support",
-                params,
-                lhs * TruncatedPoly.term(cap, 1, u=sum(e2)),
-                rhs * TruncatedPoly.term(cap, 1, u=sum(e1)),
-                started,
-                context,
-            )
-            if not report.ok:
-                return report
+    for e1, e2 in _same_support_pairs(r, n):
+        lhs = cone_sum(EpsilonVector(e1), cap, budget)
+        rhs = cone_sum(EpsilonVector(e2), cap, budget)
+        context = {"part": "cone_sums", "eps": list(e1), "eps_prime": list(e2)}
+        report = report_from_comparison(
+            "same_support",
+            params,
+            lhs * TruncatedPoly.term(cap, 1, u=sum(e2)),
+            rhs * TruncatedPoly.term(cap, 1, u=sum(e1)),
+            started,
+            context,
+        )
+        if not report.ok:
+            return report
 
     return _finish("same_support", params, None, started)
 
@@ -355,7 +328,7 @@ def verify_prop_few_colors(
     """
     started = time.perf_counter()
     params = {"l": l, "n": n, "t_cap": cap}
-    eps = _ones_vector(l, n)
+    eps = few_colors_eps(l, n)
     geometric = cone_sum_by_enumeration(eps, cap, budget)
 
     closed = TruncatedPoly.zero(cap)

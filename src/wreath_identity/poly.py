@@ -89,8 +89,9 @@ class TruncatedPoly:
                 raise ValueError(f"negative exponent in {mon}")
             if mon.t > t_cap or coeff == 0:
                 continue
-            canonical[mon] = _checked(canonical.get(mon, 0) + coeff)
-        canonical = {m: c for m, c in canonical.items() if c != 0}
+            canonical[mon] = canonical.get(mon, 0) + coeff
+        # As for products, only each merged coefficient is range-checked.
+        canonical = {m: _checked(c) for m, c in canonical.items() if c != 0}
         object.__setattr__(self, "t_cap", t_cap)
         object.__setattr__(self, "_terms", canonical)
 

@@ -24,7 +24,7 @@ import dataclasses
 import itertools
 import math
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .poly import Monomial, TruncatedPoly, u_integer
 
@@ -201,14 +201,41 @@ def enumerate_group(
     return generate()
 
 
+def color_classes(r: int, n: int, key: Callable) -> Iterator[list[tuple[int, ...]]]:
+    """The r^n color vectors grouped by key: classes in key order, each lexicographic.
+
+    >>> list(color_classes(2, 2, lambda colors: tuple(sorted(colors))))
+    [[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]]
+    """
+    classes: dict = {}
+    for colors in itertools.product(range(r), repeat=n):
+        classes.setdefault(key(colors), []).append(colors)
+    for label in sorted(classes):
+        yield classes[label]
+
+
+def few_colors_eps(l: int, n: int) -> EpsilonVector:
+    """The few-colors vector (1^l, 0^(n-l)): letters 1..l carry color 1."""
+    return EpsilonVector((1,) * l + (0,) * (n - l))
+
+
+def few_colors_range(r: int, n: int) -> range:
+    """The l of the few-colors pieces of Z_r wr S_n: 0..n, or only 0 when r = 1."""
+    return range(n + 1 if r > 1 else 1)
+
+
+def _window_tally(windows: Iterable[ColoredPermutation], cap: int) -> TruncatedPoly:
+    """Sum of q^maj t^des u^col over the windows, truncated at t-degree cap."""
+    counts = collections.Counter()
+    for w in windows:
+        d = descent_set(w)
+        counts[Monomial(sum(d), len(d), sum(w.colors))] += 1
+    return TruncatedPoly(cap, counts)
+
+
 def g_epsilon_gf(eps: EpsilonVector, cap: int) -> TruncatedPoly:
     """Sum of q^maj t^des u^col over G_eps (col is constant on the set)."""
-    color_weight = eps.col()
-    counts = collections.Counter()
-    for w in g_epsilon(eps):
-        d = descent_set(w)
-        counts[Monomial(sum(d), len(d), color_weight)] += 1
-    return TruncatedPoly(cap, counts)
+    return _window_tally(g_epsilon(eps), cap)
 
 
 def numerator(
@@ -238,8 +265,8 @@ def numerator(
         cap = n
     colors = u_integer(r - 1, cap)
     total = TruncatedPoly.zero(cap)
-    for l in range(n + 1 if r > 1 else 1):
-        piece = g_epsilon_gf(EpsilonVector((1,) * l + (0,) * (n - l)), cap)
+    for l in few_colors_range(r, n):
+        piece = g_epsilon_gf(few_colors_eps(l, n), cap)
         total = total + math.comb(n, l) * colors**l * piece
     return total
 
@@ -250,8 +277,4 @@ def numerator_by_enumeration(
     """:func:`numerator` by walking all r^n * n! elements: the test oracle."""
     if cap is None:
         cap = n
-    counts = collections.Counter()
-    for w in enumerate_group(r, n, budget):
-        d = descent_set(w)
-        counts[Monomial(sum(d), len(d), sum(w.colors))] += 1
-    return TruncatedPoly(cap, counts)
+    return _window_tally(enumerate_group(r, n, budget), cap)

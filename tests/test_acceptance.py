@@ -107,7 +107,7 @@ def test_criterion_4_same_support():
     failures = []
     for r in (1, 2, 3):
         for n in (1, 2, 3, 4):
-            report = verify_lemma_same_support(r, n, cap=5, check_cone=n <= 3)
+            report = verify_lemma_same_support(r, n, cap=5)
             if not report.ok:
                 failures.append(report.to_dict())
     conclude("4 (same-support descents and shifted cone sums)", failures)

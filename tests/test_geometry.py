@@ -181,6 +181,16 @@ def test_full_slice_sum_matches_lhs_term(r, n):
         assert full_slice_sum(r, n, k, cap=4) == lhs_term(r, n, k, 4)
 
 
+def test_full_slice_sum_refuses_exactly_past_the_budget():
+    r, n, k = 2, 3, 2
+    points = (k * r + 1) ** n
+    assert full_slice_sum(r, n, k, budget=points) == lhs_term(r, n, k, k)
+    with pytest.raises(
+        BudgetExceededError, match=f"^grid of {points} points exceeds budget {points - 1}$"
+    ):
+        full_slice_sum(r, n, k, budget=points - 1)
+
+
 def test_u_exponent_equals_owning_color_weight():
     # The u-exponent of a point weight is the color weight of its cube.
     for r, n, k in [(3, 2, 3), (2, 3, 2)]:

@@ -107,6 +107,12 @@ def test_coefficient_overflow_raises():
         big * 2
     with pytest.raises(CoefficientOverflowError):
         TruncatedPoly.term(1, INT64_MAX + 1)
+    # Duplicate monomials are summed exactly; only the merged value is checked.
+    one = Monomial(0, 0, 0)
+    merged = TruncatedPoly(0, [(one, 2**62), (one, 2**62), (one, -(2**62))])
+    assert merged.coefficient() == 2**62
+    with pytest.raises(CoefficientOverflowError):
+        TruncatedPoly(0, [(one, INT64_MAX), (one, 1)])
 
 
 def test_immutability():
