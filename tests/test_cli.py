@@ -131,7 +131,8 @@ def test_verify_tsv(capsys):
 
 
 # sha256 of stdout per command and format: output is pinned byte for byte,
-# so a change to any emitter or to the order of records shows here.
+# so a change to any emitter or to the order of records shows here.  The
+# r = 3 table is the one case where two positive colors of one value tie.
 STDOUT_SHA256 = {
     ("verify --r 2 --n 3", "json"): "e4de9974bf13485bcee43018275029f9c4562cbde55ae6e9a69730c23f9558eb",
     ("verify --r 2 --n 3", "tsv"): "f5f772a3dcabf68a0e90e91a1e38d19b7b96cb8207d2b7c1387bb59201aeb2de",
@@ -139,6 +140,8 @@ STDOUT_SHA256 = {
     ("verify --all-steps --r 2 --n 3", "tsv"): "bcd63501d5dd8b4cc0dae3b4a6de5b6772e35260cffe8213272f54cadcff1883",
     ("table --r 2 --n 3", "json"): "699c9ba113cfb513b5740497702100dec53db99d2eb3c60c50d02957556596d4",
     ("table --r 2 --n 3", "tsv"): "74bfdc1ca84d90b62a2d3fde8cd15c9afd727ccb6fa1f9d5f78024e8863cd8ba",
+    ("table --r 3 --n 4", "json"): "33fd8a7d630b91692466ee174682b7dd3bd9616837e06f7c62bd9abc6be40498",
+    ("table --r 3 --n 4", "tsv"): "5fc77b5c13874f0aa1484dbca08edc07a3c8dfd9704ab04f0284ae17273446ca",
     ("table --r 3 --n 3 --filter-eps 1,0,1", "json"): "e3eeb124972cc128b3197a1327f702e9a11b46470ad1cd46ec1769587aa6bea4",
     ("table --r 3 --n 3 --filter-eps 1,0,1", "tsv"): "153e71ac7d8b454369c64f5558814f5a57b3b59118ba043c406f978978397345",
     ("figure --r 2 --n 2 --k 2", "json"): "4d6f8ecd8d7b5bce1672156844e899b09feb5cac4e470db03cbf163dbe9f4dfa",
