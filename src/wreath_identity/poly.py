@@ -48,6 +48,11 @@ class Monomial(NamedTuple):
         return (self.t, self.q, self.u)
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _checked(coeff: int) -> int:
     if coeff < INT64_MIN or coeff > INT64_MAX:
         raise CoefficientOverflowError(
@@ -85,6 +90,8 @@ class TruncatedPoly:
         canonical: dict[Monomial, int] = {}
         for mon, coeff in items:
             mon = Monomial(*mon)
+            if not all(map(_is_int, (*mon, coeff))):
+                raise TypeError(f"exponents and coefficient must be ints, got {mon}: {coeff!r}")
             if mon.q < 0 or mon.t < 0 or mon.u < 0:
                 raise ValueError(f"negative exponent in {mon}")
             if mon.t > t_cap or coeff == 0:

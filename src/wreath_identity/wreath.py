@@ -4,17 +4,19 @@ An element of Z_r wr S_n is a pair (epsilon, pi) displayed in window
 notation [pi(1)^e1 ... pi(n)^en]: pi is a permutation of {1..n} written as
 the tuple of its window values, and e_i is the color carried by window
 position i.  Descents are taken with respect to the weak order on colored
-letters v^c that :func:`bz_sort_key` alone defines: zero-colored letters
-increase with value, positive-colored letters sit strictly below the
-sentinel 0^0 and decrease with value, and two positive-colored copies of
-the same value are tied.  Position 0 of every window holds the sentinel
-0^0, so a window can have a descent at position 0.
+letters v^c that :func:`bz_sort_key` alone defines, as one int per letter:
+zero-colored letters increase with value (key v), positive-colored letters
+sit strictly below the sentinel 0^0 (key 0) and decrease with value (key
+-v), and two positive-colored copies of the same value are tied.  Position
+0 of every window holds the sentinel, so a window can have a descent at
+position 0.
 
 Two color-indexing conventions coexist and must not be conflated:
 :class:`ColoredPermutation` colors are indexed by window position, while
 :class:`EpsilonVector` colors are indexed by letter.  The only crossing
 point is :func:`colored_window` / :func:`g_epsilon`, which perform the
-reindexing color_i = eps[pi(i)] explicitly.
+reindexing color_i = eps[pi(i)] explicitly; :func:`g_epsilon_gf` needs no
+reindexing, because it permutes each letter's key together with its color.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import operator
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -35,17 +38,21 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured object budget."""
 
 
-def bz_sort_key(value: int, color: int) -> tuple[int, int]:
-    """Sort key realizing the colored-letter order.
+def bz_sort_key(value: int, color: int) -> int:
+    """Int sort key realizing the colored-letter order.
 
-    Positive-colored letters form the lower block, ordered by decreasing
-    value; zero-colored letters (sentinel 0^0 included) form the upper
-    block, ordered by increasing value.  Equal keys mean tied letters.
+    A positive-colored letter v^c has key -v and a zero-colored letter v^0
+    has key v, so the sentinel 0^0 has key 0.  Letter values are at least
+    1, so the positive-colored letters lie below the sentinel, ordered by
+    decreasing value, and the zero-colored ones above it, ordered by
+    increasing value.  Equal keys mean tied letters.
 
     >>> bz_sort_key(3, 1) < bz_sort_key(2, 1) < bz_sort_key(0, 0) < bz_sort_key(2, 0)
     True
+    >>> bz_sort_key(2, 1) == bz_sort_key(2, 2) == -2
+    True
     """
-    return (0, -value) if color > 0 else (1, value)
+    return -value if color > 0 else value
 
 
 _TOKEN = re.compile(r"^(\d+)\^(\d+)$")
@@ -75,7 +82,7 @@ class ColoredPermutation:
 
     def window_str(self) -> str:
         """Window text form, e.g. ``[2^0 3^1 1^1]``.  Round-trips via parse."""
-        return "[" + " ".join(f"{v}^{c}" for v, c in zip(self.pi, self.colors)) + "]"
+        return "[" + " ".join(map("{}^{}".format, self.pi, self.colors)) + "]"
 
     @classmethod
     def parse(cls, text: str) -> ColoredPermutation:
@@ -104,9 +111,8 @@ def descent_set(w: ColoredPermutation) -> set[int]:
     >>> sorted(descent_set(ColoredPermutation.parse("[2^0 3^1 1^1]")))
     [1]
     """
-    keys = [bz_sort_key(0, 0)]
-    keys += [bz_sort_key(v, c) for v, c in zip(w.pi, w.colors)]
-    return {i for i in range(w.n) if keys[i] > keys[i + 1]}
+    keys = [bz_sort_key(0, 0), *map(bz_sort_key, w.pi, w.colors)]
+    return {i for i in range(len(keys) - 1) if keys[i] > keys[i + 1]}
 
 
 def des(w: ColoredPermutation) -> int:
@@ -234,8 +240,26 @@ def _window_tally(windows: Iterable[ColoredPermutation], cap: int) -> TruncatedP
 
 
 def g_epsilon_gf(eps: EpsilonVector, cap: int) -> TruncatedPoly:
-    """Sum of q^maj t^des u^col over G_eps (col is constant on the set)."""
-    return _window_tally(g_epsilon(eps), cap)
+    """Sum of q^maj t^des u^col over G_eps (col is constant on the set).
+
+    Builds no window: every letter of G_eps keeps its color, so a window is
+    an ordering of the n letter keys from :func:`bz_sort_key`, read after
+    the sentinel's key.  ``_window_tally`` over :func:`g_epsilon` is the
+    oracle.
+    """
+    keys = [bz_sort_key(v, c) for v, c in enumerate(eps.colors, 1)]
+    sentinel = (bz_sort_key(0, 0),)
+    # Tally the descent indicator vectors first: there are at most 2^n.
+    masks = collections.Counter(
+        tuple(map(operator.gt, sentinel + word, word))
+        for word in itertools.permutations(keys)
+    )
+    counts = collections.Counter()
+    u = eps.col()
+    for mask, count in masks.items():
+        q = sum(itertools.compress(range(eps.n), mask))
+        counts[Monomial(q, sum(mask), u)] += count
+    return TruncatedPoly(cap, counts)
 
 
 def numerator(

@@ -2,7 +2,21 @@
 
 Figure grids map a point (v1, v2) to its t-free weight (q_exp, u_exp);
 descent tables map window text to the expected descent set.
+:func:`tuple_order_descents` restates the descent rule without the
+package's letter key, so that the key's fast paths have a reference that
+a wrong key does not also change.
 """
+
+
+def tuple_order_descents(w):
+    """Descent set of a window under the tuple form of the colored-letter order.
+
+    A positive-colored letter v^c is (0, -v), a zero-colored letter v^0 and
+    the sentinel 0^0 at position 0 are (1, v).
+    """
+    keys = [(1, 0)] + [(0, -v) if c > 0 else (1, v) for v, c in zip(w.pi, w.colors)]
+    return {i for i in range(len(w.pi)) if keys[i] > keys[i + 1]}
+
 
 # 3x3 grid of t-free point weights for r=2, n=2, k=1.
 FIGURE_R2_K1 = {

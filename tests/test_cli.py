@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -9,9 +11,11 @@ import pytest
 from wreath_identity import cli, identity, poly
 from wreath_identity.cli import main
 from wreath_identity.poly import expand_denominator
-from wreath_identity.wreath import numerator
+from wreath_identity.wreath import ColoredPermutation, col, des, maj, numerator
 
-from golden import DES_101, FIGURE_R2_K1, FIGURE_R2_K2
+from golden import DES_101, FIGURE_R2_K1, FIGURE_R2_K2, tuple_order_descents
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +207,19 @@ def test_table_r1_is_classical(capsys):
     assert by_window["[1^0 2^0 3^0]"]["Des"] == []
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_table_rows_match_window_statistics(capsys, r):
+    for n in range(1, 5):
+        code, out, _ = run_cli(capsys, "table", "--r", str(r), "--n", str(n))
+        assert code == 0
+        for row in json.loads(out):
+            w = ColoredPermutation.parse(row["window"])
+            assert row["maj"] == maj(w), row
+            assert row["des"] == des(w), row
+            assert row["col"] == col(w), row
+            assert row["Des"] == sorted(tuple_order_descents(w)), row
+
+
 def test_table_tsv(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--r", "2", "--n", "1", "--format", "tsv"
@@ -374,3 +391,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[1]["window"] == "[1^1]"
+
+
+def test_traced_child_reproduces_untraced_stdout(capsys):
+    # The benchmark's tracer wraps functions that cli binds by name; this
+    # fails when cli stops binding one of them or stops reaching them.
+    argv = ["table", "--r", "2", "--n", "3"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmark" / "traced_child.py"), *argv],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["exit"] == 0
+    _, out, _ = run_cli(capsys, *argv)
+    assert record["sha256"] == hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert record["spans"]["wreath.window_stats"]["calls"] > 0

@@ -88,6 +88,20 @@ def test_negative_exponent_rejected():
         TruncatedPoly(3, {Monomial(-1, 0, 0): 1})
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {Monomial(0, 0, 0): 1.5},
+        {Monomial(0.5, 0, 0): 1},
+        {Monomial(0, 0, 0): True},
+    ],
+    ids=["float coefficient", "float exponent", "bool coefficient"],
+)
+def test_non_int_terms_rejected(terms):
+    with pytest.raises(TypeError, match="must be ints"):
+        TruncatedPoly(1, terms)
+
+
 def test_zero_coefficients_are_purged():
     p = TruncatedPoly(3, {Monomial(1, 0, 0): 5, Monomial(0, 0, 0): 0})
     assert p.terms == {Monomial(1, 0, 0): 5}

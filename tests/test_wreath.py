@@ -16,14 +16,16 @@ from wreath_identity.wreath import (
     descent_set,
     enumerate_group,
     g_epsilon,
+    g_epsilon_gf,
     group_order,
     maj,
     numerator,
     numerator_by_enumeration,
     ordinary_descent_set,
+    _window_tally,
 )
 
-from golden import DES_101, DES_110
+from golden import DES_101, DES_110, tuple_order_descents
 
 
 def window(text):
@@ -271,6 +273,18 @@ def test_same_support_same_descents():
                     assert descent_set(colored_window(v1, pi)) == descent_set(
                         colored_window(v2, pi)
                     )
+
+
+@pytest.mark.parametrize("r,n", [(3, n) for n in range(1, 6)] + [(2, 6), (4, 4)])
+def test_g_epsilon_gf_matches_window_oracle(r, n):
+    # Every color vector over r colors; with r = 3 that covers r <= 3.
+    for colors in itertools.product(range(r), repeat=n):
+        eps = EpsilonVector(colors)
+        windows = list(g_epsilon(eps))
+        # The oracle's descents follow the order that bz_sort_key encodes.
+        assert all(descent_set(w) == tuple_order_descents(w) for w in windows), colors
+        for cap in (0, n):
+            assert g_epsilon_gf(eps, cap) == _window_tally(windows, cap), (colors, cap)
 
 
 # -- the numerator ------------------------------------------------------------------------
