@@ -15,21 +15,20 @@ import itertools
 import json
 import sys
 from collections.abc import Iterable, Sequence
+from json.encoder import encode_basestring_ascii
 
 from .poly import CoefficientOverflowError
 from .wreath import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    ColoredPermutation,
     EpsilonVector,
     check_group_order,
-    col,
     color_classes,
     descent_set,
-    enumerate_group,
     few_colors_range,
-    g_epsilon,
 )
-from .wreath import des, maj  # noqa: F401  unused; benchmark/traced_child.py wraps them here
+from .wreath import col, des, maj  # noqa: F401  unused; benchmark/traced_child.py wraps them here
 from .geometry import (
     CubeSliceSpec,
     check_cone_budget,
@@ -109,16 +108,52 @@ def _compact(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
+def _indented(value, pad: str) -> str:
+    r"""``value`` as ``json.dumps(value, indent=2)`` prints it, nested at ``pad``.
+
+    ``pad`` is a newline followed by the indentation of the line that holds
+    ``value``; ``_indented(records, "\n")`` is the whole document.  Dict keys
+    must be strings.  Each dict and list is one join over its items, and
+    strings and ints are formatted here; any other scalar (bool, None,
+    float) goes to ``json.dumps``.  ``type(value) is int`` keeps a bool from
+    printing as 1.
+
+    >>> _indented({"Des": [0, 2], "ok": True, "x": None}, "\n")
+    '{\n  "Des": [\n    0,\n    2\n  ],\n  "ok": true,\n  "x": null\n}'
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", [_indented(item, inner) for item in value]
+    elif isinstance(value, dict):
+        brackets = "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _indented(item, inner)
+            for key, item in value.items()
+        ]
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def _emit(
     config: RunConfig, records: list, header: Sequence[str], rows: Iterable[Sequence]
 ) -> str:
     """Render records as indented JSON, or as TSV: header, then one line per row.
 
-    ``rows``, the TSV projection of ``records``, is read only for tsv; pass a
-    generator, so that no list of row tuples is held next to the output.
+    JSON goes through the one writer :func:`_indented`, whose text is
+    byte-identical to ``json.dumps(records, indent=2)``.  ``rows``, the TSV
+    projection of ``records``, is read only for tsv; pass a generator, so
+    that no list of row tuples is held next to the output.
     """
     if config.format == "json":
-        return json.dumps(records, indent=2) + "\n"
+        return _indented(records, "\n") + "\n"
     lines = itertools.chain([header], rows)
     return "".join("\t".join(map(str, fields)) + "\n" for fields in lines)
 
@@ -166,25 +201,41 @@ def cmd_verify(config: RunConfig) -> tuple[int, str]:
     return code, _emit(config, records, header, rows)
 
 
+def _table_records(pi: tuple[int, ...], choices: Sequence[Sequence[int]]) -> list[dict]:
+    """Table records of the windows pi^colors, colors over ``product(*choices)``.
+
+    ``choices[i]`` lists the colors of window position i, increasing, so the
+    records come in lexicographic order of the color vector.  The colored-
+    letter order reads a color only through ``color > 0``, so a window has
+    the descent set of its support: ``descent_set`` runs once per support,
+    on the window with colors ``min(c, 1)``, and its rows share the result.
+    """
+    tokens = [[f"{v}^{c}" for c in colors] for v, colors in zip(pi, choices)]
+    texts = map("[{}]".format, map(" ".join, itertools.product(*tokens)))
+    marks = [[min(c, 1) for c in colors] for colors in choices]
+    stats = {}
+    for support in itertools.product(*map(sorted, map(set, marks))):
+        descents = sorted(descent_set(ColoredPermutation._trusted(pi, support)))
+        stats[support] = descents, sum(descents), len(descents)
+    rows = map(stats.__getitem__, itertools.product(*marks))
+    cols = map(sum, itertools.product(*choices))
+    return [
+        {"window": text, "Des": descents, "maj": major, "des": count, "col": total}
+        for text, (descents, major, count), total in zip(texts, rows, cols)
+    ]
+
+
 def cmd_table(config: RunConfig) -> tuple[int, str]:
+    perms = itertools.permutations(range(1, config.n + 1))
     if config.filter_eps is not None:
-        colors = _parse_eps(config.filter_eps, config.r, config.n)
+        eps = _parse_eps(config.filter_eps, config.r, config.n)
         check_group_order(1, config.n, config.budget)  # G_eps has n! windows
-        elements = g_epsilon(EpsilonVector(colors))
+        walk = ((pi, [(eps[v - 1],) for v in pi]) for pi in perms)
     else:
-        elements = enumerate_group(config.r, config.n, config.budget)
-    records = []
-    for w in elements:
-        descents = sorted(descent_set(w))  # maj and des are read off this set
-        records.append(
-            {
-                "window": w.window_str(),
-                "Des": descents,
-                "maj": sum(descents),
-                "des": len(descents),
-                "col": col(w),
-            }
-        )
+        check_group_order(config.r, config.n, config.budget)
+        every = [range(config.r)] * config.n
+        walk = ((pi, every) for pi in perms)
+    records = [record for pi, choices in walk for record in _table_records(pi, choices)]
     compact_des = functools.cache(_compact)  # at most 2^n distinct descent sets
     rows = (
         (d["window"], compact_des(tuple(d["Des"])), d["maj"], d["des"], d["col"])

@@ -284,8 +284,8 @@ def verify_lemma_same_support(
 
     for e1, e2 in _same_support_pairs(r, n):
         for pi in itertools.permutations(range(1, n + 1)):
-            d1 = descent_set(ColoredPermutation(pi, e1))
-            d2 = descent_set(ColoredPermutation(pi, e2))
+            d1 = descent_set(ColoredPermutation._trusted(pi, e1))
+            d2 = descent_set(ColoredPermutation._trusted(pi, e2))
             if d1 != d2:
                 counterexample = {
                     "part": "descents",

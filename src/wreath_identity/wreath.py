@@ -76,6 +76,18 @@ class ColoredPermutation:
         if any(c < 0 for c in self.colors):
             raise ValueError(f"negative color in {self.colors}")
 
+    @classmethod
+    def _trusted(cls, pi: tuple[int, ...], colors: tuple[int, ...]) -> ColoredPermutation:
+        """Wrap a window that is valid by construction, without re-validating.
+
+        The caller guarantees that pi is a tuple permuting 1..n and that
+        colors is a tuple of n non-negative ints.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "colors", colors)
+        return self
+
     @property
     def n(self) -> int:
         return len(self.pi)
@@ -173,7 +185,7 @@ def g_epsilon(eps: EpsilonVector) -> Iterator[ColoredPermutation]:
     Yields in lexicographic order of the window value sequence.
     """
     for pi in itertools.permutations(range(1, eps.n + 1)):
-        yield colored_window(eps, pi)
+        yield ColoredPermutation._trusted(pi, tuple(map(eps.color_of, pi)))
 
 
 def group_order(r: int, n: int) -> int:
@@ -202,7 +214,7 @@ def enumerate_group(
     def generate() -> Iterator[ColoredPermutation]:
         for pi in itertools.permutations(range(1, n + 1)):
             for colors in itertools.product(range(r), repeat=n):
-                yield ColoredPermutation(pi, colors)
+                yield ColoredPermutation._trusted(pi, colors)
 
     return generate()
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -7,11 +8,22 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wreath_identity import cli, identity, poly
 from wreath_identity.cli import main
 from wreath_identity.poly import expand_denominator
-from wreath_identity.wreath import ColoredPermutation, col, des, maj, numerator
+from wreath_identity.wreath import (
+    ColoredPermutation,
+    EpsilonVector,
+    col,
+    des,
+    descent_set,
+    g_epsilon,
+    maj,
+    numerator,
+)
 
 from golden import DES_101, FIGURE_R2_K1, FIGURE_R2_K2, tuple_order_descents
 
@@ -166,6 +178,47 @@ def test_stdout_golden_sha256(capsys, command, fmt, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# -- the JSON writer ---------------------------------------------------------------
+
+# Quotes, backslashes, control characters and non-ASCII text, plus anything.
+JSON_TEXT = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a\xe9\u20ac\u2028\U0001f600') | st.characters()
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**63) - 1)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | JSON_TEXT,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(JSON_TEXT, children),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_indented_writer_matches_json_dumps(value):
+    assert cli._indented([value], "\n") == json.dumps([value], indent=2)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "table --r 3 --n 4",
+        "figure --r 3 --n 2 --k 4",
+        "decompose --r 2 --n 3 --k 2",
+        "verify --all-steps --r 2 --n 3",
+    ],
+)
+def test_json_output_is_json_dumps_indent_2(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_output_is_deterministic(capsys):
     argv = ("verify", "--r", "2", "--n", "2", "--all-steps")
     _, first, _ = run_cli(capsys, *argv)
@@ -207,9 +260,11 @@ def test_table_r1_is_classical(capsys):
     assert by_window["[1^0 2^0 3^0]"]["Des"] == []
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_table_rows_match_window_statistics(capsys, r):
-    for n in range(1, 5):
+    # table takes descents once per support; r = 4 folds three positive
+    # colors onto each colored letter of a support.
+    for n in range(1, 4 if r == 4 else 5):
         code, out, _ = run_cli(capsys, "table", "--r", str(r), "--n", str(n))
         assert code == 0
         for row in json.loads(out):
@@ -218,6 +273,30 @@ def test_table_rows_match_window_statistics(capsys, r):
             assert row["des"] == des(w), row
             assert row["col"] == col(w), row
             assert row["Des"] == sorted(tuple_order_descents(w)), row
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_table_filter_eps_rows_match_g_epsilon(capsys, r):
+    for n in range(1, 4):
+        for colors in itertools.product(range(r), repeat=n):
+            eps = ",".join(map(str, colors))
+            code, out, _ = run_cli(
+                capsys, "table", "--r", str(r), "--n", str(n), "--filter-eps", eps
+            )
+            assert code == 0
+            expected = []
+            for w in g_epsilon(EpsilonVector(colors)):
+                descents = sorted(descent_set(w))
+                expected.append(
+                    {
+                        "window": w.window_str(),
+                        "Des": descents,
+                        "maj": sum(descents),
+                        "des": len(descents),
+                        "col": col(w),
+                    }
+                )
+            assert json.loads(out) == expected, eps
 
 
 def test_table_tsv(capsys):
@@ -394,19 +473,26 @@ def test_module_entry_point():
 
 
 def test_traced_child_reproduces_untraced_stdout(capsys):
-    # The benchmark's tracer wraps functions that cli binds by name; this
-    # fails when cli stops binding one of them or stops reaching them.
-    argv = ["table", "--r", "2", "--n", "3"]
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "benchmark" / "traced_child.py"), *argv],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-    )
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(proc.stdout)
-    assert record["exit"] == 0
-    _, out, _ = run_cli(capsys, *argv)
-    assert record["sha256"] == hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert record["spans"]["wreath.window_stats"]["calls"] > 0
+    # The benchmark's tracer wraps functions that cli binds by name, and it
+    # replaces cli.json by a namespace that holds only json.dumps, which the
+    # JSON writer calls for null, true and 0.0 in verify reports; this fails
+    # when cli stops binding one of them or stops reaching them.
+    for argv in (
+        ["table", "--r", "2", "--n", "3"],
+        ["verify", "--r", "2", "--n", "3"],
+        ["figure", "--r", "2", "--n", "2", "--k", "2"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "benchmark" / "traced_child.py"), *argv],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["exit"] == 0, argv
+        _, out, _ = run_cli(capsys, *argv)
+        assert record["sha256"] == hashlib.sha256(out.encode("utf-8")).hexdigest(), argv
+        if argv[0] == "table":
+            assert record["spans"]["wreath.window_stats"]["calls"] > 0

@@ -167,6 +167,30 @@ def test_window_validation():
         ColoredPermutation((-1, 1), (0, 0))
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_trusted_windows_equal_validated_ones(r):
+    # enumerate_group and g_epsilon build their windows unvalidated.
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        vectors = list(itertools.product(range(r), repeat=n))
+        checked = [ColoredPermutation(pi, colors) for pi in perms for colors in vectors]
+        trusted = [ColoredPermutation._trusted(pi, colors) for pi in perms for colors in vectors]
+        walked = list(enumerate_group(r, n))
+        assert trusted == checked == walked
+        assert list(map(hash, trusted)) == list(map(hash, checked)) == list(map(hash, walked))
+        for colors in vectors:
+            eps = EpsilonVector(colors)
+            checked = [colored_window(eps, pi) for pi in perms]
+            walked = list(g_epsilon(eps))
+            assert walked == checked
+            assert list(map(hash, walked)) == list(map(hash, checked))
+    # The public constructors keep every check.
+    with pytest.raises(ValueError):
+        ColoredPermutation((1, 1), (0, 0))
+    with pytest.raises(ValueError):
+        colored_window(EpsilonVector((1, 0)), (2, 2))
+
+
 # -- window text form ---------------------------------------------------------------
 
 
