@@ -1,10 +1,11 @@
 import itertools
 import json
+import sys
 import time
 
 import pytest
 
-from wreath_identity import identity
+from wreath_identity import identity, wreath
 from wreath_identity.poly import (
     Monomial,
     TruncatedPoly,
@@ -276,6 +277,32 @@ def test_same_support_pairs_lead_with_first_of_support():
         v for v in vectors if first[support(v)] != v
     ]
     assert all(lead == first[support(other)] for lead, other in pairs)
+
+
+def patch_letter_key(monkeypatch, key):
+    """Bind key in place of bz_sort_key in every package module that binds it."""
+    original = wreath.bz_sort_key
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wreath_identity" and vars(module).get("bz_sort_key") is original:
+            monkeypatch.setattr(module, "bz_sort_key", key)
+
+
+@pytest.mark.parametrize(
+    "r,n,counterexample",
+    [
+        (3, 3, {"pi": [1, 2, 3], "eps": [0, 1, 1], "eps_prime": [0, 2, 1], "lhs": [1, 2], "rhs": [1]}),
+        (3, 4, {"pi": [1, 2, 3, 4], "eps": [0, 0, 1, 1], "eps_prime": [0, 0, 2, 1], "lhs": [2, 3], "rhs": [2]}),
+    ],
+)
+def test_a_wrong_letter_key_fails_same_support_descents(monkeypatch, r, n, counterexample):
+    # Under this key v^2 no longer ties v^1 but ties (v+1)^1, so supports
+    # stop determining descents.  The expected counterexample is the first
+    # one a descent_set call per (pair, pi) meets, in pair-then-pi order.
+    patch_letter_key(monkeypatch, lambda value, color: -value - (color > 1) if color > 0 else value)
+    report = verify_lemma_same_support(r, n, cap=4)
+    assert not report.ok
+    assert report.counterexample == {"part": "descents", **counterexample}
+    assert list(report.counterexample) == ["part", "pi", "eps", "eps_prime", "lhs", "rhs"]
 
 
 def test_a_wrong_cone_sum_fails_same_support_with_its_first_pair(monkeypatch):
