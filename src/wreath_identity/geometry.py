@@ -13,7 +13,10 @@ A cube's slice is a product of coordinate intervals and a point's weight
 is t^k times a product of coordinate weights, so :func:`cone_sum` expands
 each slice as a product of per-coordinate interval sums, without visiting
 its lattice points.  :func:`cone_sum_by_enumeration` visits every point
-and is the oracle it is checked against.
+and is the oracle it is checked against: per height it builds one table of
+the coordinate weights m'(j, k), packed as the int q*span + u, and weighs
+each point of :func:`enumerate_slice` by summing its coordinates' entries,
+so it does not rely on distributivity.
 """
 
 from __future__ import annotations
@@ -132,11 +135,28 @@ def _cube_interval(color: int, k: int) -> range:
 def slice_sum(
     spec: CubeSliceSpec, cap: int | None = None, budget: int = DEFAULT_BUDGET
 ) -> TruncatedPoly:
-    """Pointwise sum of m over one cube slice (brute-force enumeration)."""
+    """Pointwise sum of m over one cube slice (brute-force enumeration).
+
+    Every point of :func:`enumerate_slice` is weighed on its own: its
+    coordinates index one table of m'(j, k) packed as q*span + u, and
+    their sum is the point's t-free weight packed the same way.
+    """
     if cap is None:
         cap = spec.k
-    points = enumerate_slice(spec, budget)
-    return TruncatedPoly(cap, collections.Counter(map(m, points)))
+    k, n, top_color = spec.k, spec.eps.n, max(spec.eps.colors)
+    weights = [m_prime(j, k) for j in range(k * (top_color + 1) + 1)]
+    # A coordinate of the color-c interval has u = c, so a point's u is at
+    # most n * top_color and its packed weight unpacks exactly.
+    span = n * top_color + 1
+    assert n * max(w.u for w in weights) < span
+    table = [w.q * span + w.u for w in weights]
+    coordinates = (p.v for p in enumerate_slice(spec, budget))
+    packed = collections.Counter(
+        map(sum, map(map, itertools.repeat(table.__getitem__), coordinates))
+    )
+    return TruncatedPoly(
+        cap, ((Monomial(w // span, k, w % span), count) for w, count in packed.items())
+    )
 
 
 def cone_sum_by_enumeration(

@@ -35,6 +35,7 @@ from .poly import (
 )
 from .wreath import (
     DEFAULT_BUDGET,
+    _descent_masks,
     ColoredPermutation,
     EpsilonVector,
     bz_sort_key,
@@ -282,20 +283,31 @@ def verify_lemma_same_support(
     # Recorded command output (golden hashes, benchmark digests) has check_cone.
     params = {"r": r, "n": n, "t_cap": cap, "check_cone": True}
 
+    perms = list(itertools.permutations(range(1, n + 1)))
+    # keys[c][v] is the key of the letter v^c.
+    keys = [[bz_sort_key(v, c) for v in range(n + 1)] for c in range(r)]
+
+    def masks(colors: tuple[int, ...]) -> list[tuple[bool, ...]]:
+        """The descent indicator vector of the window (pi, colors), for every pi."""
+        rows = [keys[c] for c in colors]
+        return list(_descent_masks(tuple(map(list.__getitem__, rows, pi)) for pi in perms))
+
+    lead = lead_masks = None
     for e1, e2 in _same_support_pairs(r, n):
-        for pi in itertools.permutations(range(1, n + 1)):
-            d1 = descent_set(ColoredPermutation._trusted(pi, e1))
-            d2 = descent_set(ColoredPermutation._trusted(pi, e2))
-            if d1 != d2:
-                counterexample = {
-                    "part": "descents",
-                    "pi": list(pi),
-                    "eps": list(e1),
-                    "eps_prime": list(e2),
-                    "lhs": sorted(d1),
-                    "rhs": sorted(d2),
-                }
-                return _finish("same_support", params, counterexample, started)
+        if e1 != lead:
+            lead, lead_masks = e1, masks(e1)
+        other_masks = masks(e2)
+        if other_masks != lead_masks:
+            pi = next(p for p, x, y in zip(perms, lead_masks, other_masks) if x != y)
+            counterexample = {
+                "part": "descents",
+                "pi": list(pi),
+                "eps": list(e1),
+                "eps_prime": list(e2),
+                "lhs": sorted(descent_set(ColoredPermutation._trusted(pi, e1))),
+                "rhs": sorted(descent_set(ColoredPermutation._trusted(pi, e2))),
+            }
+            return _finish("same_support", params, counterexample, started)
 
     for e1, e2 in _same_support_pairs(r, n):
         lhs = cone_sum(EpsilonVector(e1), cap, budget)

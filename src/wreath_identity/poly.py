@@ -13,8 +13,11 @@ any u-degree of the product, so one big-int product per pair of t-degrees
 the a-priori bound ||a||_1 * ||b||_inf on every product coefficient, so no
 coefficient can spill into its neighbour; signed coefficients are packed as
 the difference of their positive and negative parts and read back through a
-constant offset per slot.  ``mul_by_terms`` keeps the term-pair loop as the
-oracle.
+constant offset per slot.  Slot widths are rounded up to 1, 2, 4 or 8
+bytes, so each t-slice of the product is read back as one array of words,
+and only the slots that hold a nonzero coefficient are decoded.  A product
+by a single term is a shift of the other operand, with no packing.
+``mul_by_terms`` keeps the term-pair loop as the oracle.
 
 Coefficients are integers kept inside the signed 64-bit range; an operation
 whose result would leave that range raises CoefficientOverflowError instead
@@ -24,6 +27,7 @@ product is refused exactly when one of its coefficients leaves the range.
 
 from __future__ import annotations
 
+import array
 import functools
 from collections.abc import Iterable, Mapping
 from typing import NamedTuple
@@ -267,6 +271,11 @@ class TruncatedPoly:
 
 # -- the multiplication kernel ---------------------------------------------------
 
+# (item size in bytes, typecode) of the unsigned array types, narrowest first.
+_WORDS = sorted((array.array(code).itemsize, code) for code in "BHIQ")
+# Packed ints are read little end first; array items are in native order.
+_BIG_ENDIAN = array.array("H", b"\x00\x01")[0] == 1
+
 
 def _pack(
     terms: dict[Monomial, int], span: int, width: int
@@ -302,19 +311,34 @@ def _kronecker_product(
 ) -> dict[Monomial, int]:
     """The canonical terms of a * b truncated at t^cap, every coefficient checked.
 
-    No product coefficient exceeds min(||a||_1 ||b||_inf, ||a||_inf ||b||_1)
-    in absolute value, so a slot of ``width`` bytes, whose top bit stays
-    clear for that bound, holds each one exactly: adding 2^(8*width-1) to
-    every slot turns the signed sum into plain base-256^width digits, which
-    are read back one slot at a time and only then range-checked.
+    A single-term operand c0 * m0 shifts the other operand's terms by m0
+    and scales them by c0.  Otherwise no product coefficient exceeds
+    min(||a||_1 ||b||_inf, ||a||_inf ||b||_1) in absolute value, so a slot
+    of ``width`` bytes, whose top bit stays clear for that bound, holds
+    each one exactly: adding 2^(8*width-1) to every slot turns the signed
+    sum into plain base-256^width digits.  The width is rounded up to an
+    array item size (1, 2, 4 or 8 bytes), so each t-slice is read back as
+    one array of words, and only the words that differ from the bias are
+    decoded and range-checked.  A bound of 2^63 or more needs wider slots,
+    which are read one at a time.
     """
     if not a or not b:
         return {}
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((shift, c0),) = a.items()
+        return {
+            Monomial(m.q + shift.q, m.t + shift.t, m.u + shift.u): _checked(c * c0)
+            for m, c in b.items()
+            if m.t + shift.t <= cap
+        }
     bound = min(
         sum(map(abs, a.values())) * max(map(abs, b.values())),
         max(map(abs, a.values())) * sum(map(abs, b.values())),
     )
-    width = bound.bit_length() // 8 + 1
+    need = bound.bit_length() // 8 + 1
+    width, code = next(((size, code) for size, code in _WORDS if size >= need), (need, None))
     span = max(m.u for m in a) + max(m.u for m in b) + 1
     a_slices = _pack(a, span, width)
     b_slices = a_slices if b is a else _pack(b, span, width)
@@ -334,13 +358,19 @@ def _kronecker_product(
         digits = (value + int.from_bytes(bias_digit * slots, "little")).to_bytes(
             slots * width, "little"
         )
-        at = 0
-        for q in range(top_q[t] + 1):
-            for u in range(span):
-                coeff = int.from_bytes(digits[at : at + width], "little") - bias
-                at += width
-                if coeff:
-                    out[Monomial(q, t, u)] = _checked(coeff)
+        if code is None:
+            words = [
+                int.from_bytes(digits[at : at + width], "little")
+                for at in range(0, len(digits), width)
+            ]
+        else:
+            words = array.array(code, digits)
+            if _BIG_ENDIAN:
+                words.byteswap()
+        for slot, word in enumerate(words):
+            if word != bias:
+                q, u = divmod(slot, span)
+                out[Monomial(q, t, u)] = _checked(word - bias)
     return out
 
 
@@ -421,7 +451,9 @@ def first_difference(a: TruncatedPoly, b: TruncatedPoly) -> tuple[Monomial, int,
     """
     if a.t_cap != b.t_cap:
         raise ValueError(f"t_cap mismatch: {a.t_cap} vs {b.t_cap}")
-    a_terms, b_terms = a.terms, b.terms
+    a_terms, b_terms = a._terms, b._terms
+    if a_terms == b_terms:
+        return None
     for mon in sorted(set(a_terms) | set(b_terms), key=Monomial.key):
         ca, cb = a_terms.get(mon, 0), b_terms.get(mon, 0)
         if ca != cb:

@@ -251,6 +251,19 @@ def _window_tally(windows: Iterable[ColoredPermutation], cap: int) -> TruncatedP
     return TruncatedPoly(cap, counts)
 
 
+def _descent_masks(words: Iterable[tuple[int, ...]]) -> Iterator[tuple[bool, ...]]:
+    """The descent indicator vector of each window, given as its letter keys.
+
+    A word is the tuple of :func:`bz_sort_key` values of a window's
+    letters; entry i of its mask is True when position i descends, with
+    the sentinel's key read before the word.  So the mask has the same
+    positions as :func:`descent_set`, and Des is the set of its True
+    entries.
+    """
+    sentinel = (bz_sort_key(0, 0),)
+    return (tuple(map(operator.gt, sentinel + word, word)) for word in words)
+
+
 def g_epsilon_gf(eps: EpsilonVector, cap: int) -> TruncatedPoly:
     """Sum of q^maj t^des u^col over G_eps (col is constant on the set).
 
@@ -260,12 +273,8 @@ def g_epsilon_gf(eps: EpsilonVector, cap: int) -> TruncatedPoly:
     oracle.
     """
     keys = [bz_sort_key(v, c) for v, c in enumerate(eps.colors, 1)]
-    sentinel = (bz_sort_key(0, 0),)
     # Tally the descent indicator vectors first: there are at most 2^n.
-    masks = collections.Counter(
-        tuple(map(operator.gt, sentinel + word, word))
-        for word in itertools.permutations(keys)
-    )
+    masks = collections.Counter(_descent_masks(itertools.permutations(keys)))
     counts = collections.Counter()
     u = eps.col()
     for mask, count in masks.items():

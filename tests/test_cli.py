@@ -481,6 +481,7 @@ def test_traced_child_reproduces_untraced_stdout(capsys):
         ["table", "--r", "2", "--n", "3"],
         ["verify", "--r", "2", "--n", "3"],
         ["figure", "--r", "2", "--n", "2", "--k", "2"],
+        ["verify", "--all-steps", "--r", "2", "--n", "3"],
     ):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "benchmark" / "traced_child.py"), *argv],
@@ -496,3 +497,10 @@ def test_traced_child_reproduces_untraced_stdout(capsys):
         assert record["sha256"] == hashlib.sha256(out.encode("utf-8")).hexdigest(), argv
         if argv[0] == "table":
             assert record["spans"]["wreath.window_stats"]["calls"] > 0
+        if "--all-steps" in argv:
+            # The tracer counts lattice points per enumerate_slice call: the
+            # few-colors oracle must still walk every point of its n+1 cubes
+            # (1^l, 0^(n-l)) at every height up to the default cap n + 3.
+            n = 3
+            points = sum(k**l * (k + 1) ** (n - l) for l in range(n + 1) for k in range(n + 4))
+            assert record["counters"]["lattice_points"] == points

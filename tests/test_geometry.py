@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -164,6 +165,17 @@ def test_slice_sum_unit_cube_height_one():
     total = slice_sum(CubeSliceSpec(EpsilonVector((0, 0)), 1))
     expected = q_integer(2, 1) * q_integer(2, 1) * TruncatedPoly.term(1, 1, t=1)
     assert total == expected
+
+
+@pytest.mark.parametrize("r,n", [(r, n) for r in (1, 2, 3) for n in (1, 2, 3, 4)])
+def test_slice_sum_weighs_every_point_by_m(r, n):
+    # The packed table walk against m applied to each enumerated point.
+    for colors in itertools.product(range(r), repeat=n):
+        for k in range(6):
+            spec = CubeSliceSpec(EpsilonVector(colors), k)
+            for cap in (k, 5):
+                expected = TruncatedPoly(cap, collections.Counter(map(m, enumerate_slice(spec))))
+                assert slice_sum(spec, cap) == expected, (colors, k, cap)
 
 
 def test_full_slice_sum_is_sum_of_cube_slices():

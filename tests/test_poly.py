@@ -378,6 +378,77 @@ def test_products_at_a_slot_width_boundary_unpack_exactly(bits, delta, signs):
     assert product.coefficient(q=2) == 3 * (c // 3)
 
 
+def single_terms(cap, coeffs):
+    monomials = st.tuples(st.integers(0, 12), st.integers(0, cap), st.integers(0, 12))
+    return st.builds(
+        lambda mon, c: TruncatedPoly(cap, {Monomial(*mon): c}), monomials, coeffs
+    )
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda cap: st.tuples(polys(cap, SMALL), single_terms(cap, SMALL.filter(bool)))
+    )
+)
+def test_single_term_operands_match_the_oracle(pair):
+    # A t-shift past the cap and negative coefficients are drawn here.
+    p, term = pair
+    assert p * term == mul_by_terms(p, term)
+    assert term * p == mul_by_terms(term, p)
+    assert term * term == mul_by_terms(term, term)
+
+
+def test_single_term_shift_drops_terms_past_the_cap():
+    p = poly_of(3, {(0, 0, 0): 2, (1, 1, 2): -3, (0, 2, 1): 5, (4, 3, 0): 1})
+    shift = TruncatedPoly.term(3, -7, q=1, t=2, u=3)
+    expected = poly_of(3, {(1, 2, 3): -14, (2, 3, 5): 21})
+    assert p * shift == shift * p == expected == mul_by_terms(p, shift)
+
+
+def test_single_term_products_are_range_checked():
+    one = TruncatedPoly.one(0)
+    top = TruncatedPoly.term(0, INT64_MAX, q=2)
+    assert top * one == one * top == top == mul_by_terms(top, one)
+    two = TruncatedPoly.term(0, 2, u=1)
+    bottom = TruncatedPoly.term(0, -(2**62))
+    assert (bottom * two).terms == {Monomial(0, 0, 1): INT64_MIN}
+    for half in (TruncatedPoly.term(0, 2**62), TruncatedPoly.term(0, 2**62, q=1)):
+        for product in (lambda: half * two, lambda: two * half, lambda: mul_by_terms(half, two)):
+            with pytest.raises(CoefficientOverflowError):
+                product()
+
+
+@pytest.mark.parametrize("bound_bits", [7, 8, 15, 16, 31, 32, 63, 64])
+@pytest.mark.parametrize("top", [False, True])
+@pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, -1, -1, 1), (-1, 1, 1, -1)])
+def test_products_on_both_sides_of_each_rounded_slot_width(bound_bits, top, signs):
+    # a = c*t + c*t^2 and b has four terms of size 1, so the bound is 2c,
+    # and slots of 1, 2, 4 or 8 bytes hold bounds of at most 7, 15, 31
+    # and 63 bits; 64 bits needs wider slots.  Every product slot is full
+    # (+-c), so a carry or borrow between slots would change one of them.
+    c = 2 ** (bound_bits - 1) - 1 if top else 2 ** (bound_bits - 2)
+    assert (2 * c).bit_length() == bound_bits
+    a = poly_of(3, {(0, 1, 0): c, (0, 2, 0): c})
+    shape = [(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)]
+    b = poly_of(3, dict(zip(shape, signs)))
+    expected = poly_of(
+        3,
+        {(q, t + dt, u): sign * c for (q, t, u), sign in zip(shape, signs) for dt in (1, 2)},
+    )
+    assert a * b == b * a == expected == mul_by_terms(a, b)
+
+
+def test_product_with_a_bound_past_2_63_is_exact():
+    # ||a||_1 * ||b||_inf = ||a||_inf * ||b||_1 = 2^63 needs 9-byte slots;
+    # the q coefficient cancels to 0 and every partial sum fits, so the
+    # oracle agrees.
+    x = 2**62
+    a = poly_of(1, {(0, 0, 0): x, (1, 0, 0): x})
+    b = poly_of(1, {(0, 0, 0): 1, (1, 0, 0): -1})
+    expected = poly_of(1, {(0, 0, 0): x, (2, 0, 0): -x})
+    assert a * b == b * a == expected == mul_by_terms(a, b)
+
+
 def test_mixed_sign_product_is_exact_where_partial_sums_overflow():
     # The q^2 coefficient is x + x - x: the result fits, but the running sum
     # in term-pair order reaches 2^63 first, so the oracle refuses it.
