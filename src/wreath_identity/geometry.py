@@ -120,7 +120,10 @@ def enumerate_slice(
     k, eps = spec.k, spec.eps
     check_cone_budget(eps.n, k, budget)
     ranges = [_cube_interval(c, k) for c in eps.colors]
-    return (LatticePoint(v, k) for v in itertools.product(*ranges))
+    # LatticePoint(v, k) is tuple.__new__ behind a Python-level __new__;
+    # calling it directly keeps the walk in C.
+    point = functools.partial(tuple.__new__, LatticePoint)
+    return map(point, zip(itertools.product(*ranges), itertools.repeat(k)))
 
 
 def _cube_interval(color: int, k: int) -> range:

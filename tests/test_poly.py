@@ -502,6 +502,10 @@ def test_first_difference():
     assert first_difference(a, a) is None
     mon, ca, cb = first_difference(a, b)
     assert (mon, ca, cb) == (Monomial(1, 2, 0), 5, 4)
+    # Equal term counts and equal monomials, different coefficients.
+    c = poly_of(3, {(0, 0, 0): 1, (1, 2, 0): 5, (0, 3, 0): 2})
+    assert first_difference(b, c) == (Monomial(1, 2, 0), 4, 5)
+    assert first_difference(c, b) == (Monomial(1, 2, 0), 5, 4)
     with pytest.raises(ValueError):
         first_difference(a, poly_of(4, {}))
 
