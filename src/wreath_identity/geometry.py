@@ -146,7 +146,7 @@ def slice_sum(
     """
     if cap is None:
         cap = spec.k
-    k, n, top_color = spec.k, spec.eps.n, max(spec.eps.colors)
+    k, n, top_color = spec.k, spec.eps.n, max(spec.eps.colors, default=0)
     weights = [m_prime(j, k) for j in range(k * (top_color + 1) + 1)]
     # A coordinate of the color-c interval has u = c, so a point's u is at
     # most n * top_color and its packed weight unpacks exactly.
