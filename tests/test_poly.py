@@ -424,8 +424,9 @@ def test_single_term_products_are_range_checked():
 def test_products_on_both_sides_of_each_rounded_slot_width(bound_bits, top, signs):
     # a = c*t + c*t^2 and b has four terms of size 1, so the bound is 2c,
     # and slots of 1, 2, 4 or 8 bytes hold bounds of at most 7, 15, 31
-    # and 63 bits; 64 bits needs wider slots.  Every product slot is full
-    # (+-c), so a carry or borrow between slots would change one of them.
+    # and 63 bits; 64 bits needs wider slots, and there every result still
+    # fits in int64.  Every product slot is full (+-c), so a carry or borrow
+    # between slots would change one of them.
     c = 2 ** (bound_bits - 1) - 1 if top else 2 ** (bound_bits - 2)
     assert (2 * c).bit_length() == bound_bits
     a = poly_of(3, {(0, 1, 0): c, (0, 2, 0): c})
@@ -435,17 +436,6 @@ def test_products_on_both_sides_of_each_rounded_slot_width(bound_bits, top, sign
         3,
         {(q, t + dt, u): sign * c for (q, t, u), sign in zip(shape, signs) for dt in (1, 2)},
     )
-    assert a * b == b * a == expected == mul_by_terms(a, b)
-
-
-def test_product_with_a_bound_past_2_63_is_exact():
-    # ||a||_1 * ||b||_inf = ||a||_inf * ||b||_1 = 2^63 needs 9-byte slots;
-    # the q coefficient cancels to 0 and every partial sum fits, so the
-    # oracle agrees.
-    x = 2**62
-    a = poly_of(1, {(0, 0, 0): x, (1, 0, 0): x})
-    b = poly_of(1, {(0, 0, 0): 1, (1, 0, 0): -1})
-    expected = poly_of(1, {(0, 0, 0): x, (2, 0, 0): -x})
     assert a * b == b * a == expected == mul_by_terms(a, b)
 
 
