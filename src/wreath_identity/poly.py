@@ -11,25 +11,38 @@ t-slice become the digits of one Python int, slot q*U + u with U wider than
 any u-degree of the product, so one big-int product per pair of t-degrees
 (t1 + t2 <= cap) does the work of all its term pairs.  Slots are sized from
 the a-priori bound ||a||_1 * ||b||_inf on every product coefficient, so no
-coefficient can spill into its neighbour; signed coefficients are packed as
-the difference of their positive and negative parts and read back through a
-constant offset per slot.  Slot widths are rounded up to 1, 2, 4 or 8
-bytes, so each t-slice of the product is read back as one array of words,
-and only the slots that hold a nonzero coefficient are decoded.  A product
-by a single term is a shift of the other operand, with no packing.
+coefficient can spill into its neighbour, and rounded up to 1, 2, 4 or 8
+bytes.  A slice is packed by writing bias + c, with bias = 2^(8w-1), into an
+array of w-byte words and subtracting one packed bias int, so signed
+coefficients need no second pass.  A slice of the product is read back the
+other way: one bias int is added, the digits become one array of words,
+the array is range-checked once through its least and greatest word, and
+only the words that differ from the bias are decoded into monomials.
+A product by a single term is a shift of the other operand, with no packing.
+
+A power of a polynomial on one t-degree is one pack, one big-int power and
+one readback, with slots sized from ||a||_1^(e-1) * ||a||_inf; a result
+past the cap is zero without any arithmetic.  ``lhs_term`` reads its power
+back directly at t^k.  Powers of other polynomials, and powers whose bound
+needs slots wider than 8 bytes, are taken by repeated squaring.  A sum of
+polynomials with disjoint supports is the union of their term maps.
 ``mul_by_terms`` keeps the term-pair loop as the oracle.
 
 Coefficients are integers kept inside the signed 64-bit range; an operation
 whose result would leave that range raises CoefficientOverflowError instead
 of wrapping or growing silently.  Products are exact before this check, so a
-product is refused exactly when one of its coefficients leaves the range.
+product is refused exactly when one of its coefficients leaves the range.  So
+is a power on one t-degree; a power by squaring is also refused when an
+intermediate product leaves the range.
 """
 
 from __future__ import annotations
 
 import array
 import functools
+import itertools
 from collections.abc import Iterable, Mapping
+from operator import itemgetter
 from typing import NamedTuple
 
 INT64_MIN = -(2**63)
@@ -169,6 +182,8 @@ class TruncatedPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._terms.keys().isdisjoint(other._terms):
+            return TruncatedPoly._trusted(self.t_cap, self._terms | other._terms)
         out = dict(self._terms)
         for mon, coeff in other._terms.items():
             total = _checked(out.get(mon, 0) + coeff)
@@ -207,6 +222,12 @@ class TruncatedPoly:
     def __pow__(self, e: int) -> TruncatedPoly:
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {e}")
+        degrees = set(map(_T, self._terms))
+        if e and len(degrees) == 1:
+            (t,) = degrees
+            terms = _slice_power(self._terms, e, e * t, self.t_cap)
+            if terms is not None:
+                return TruncatedPoly._trusted(self.t_cap, terms)
         result = TruncatedPoly.one(self.t_cap)
         base = self
         while e:
@@ -275,35 +296,87 @@ class TruncatedPoly:
 _WORDS = sorted((array.array(code).itemsize, code) for code in "BHIQ")
 # Packed ints are read little end first; array items are in native order.
 _BIG_ENDIAN = array.array("H", b"\x00\x01")[0] == 1
+# The t- and u-exponents of a Monomial, read in C.
+_T, _U = itemgetter(1), itemgetter(2)
+
+
+def _slot_width(bound: int) -> tuple[int, str | None]:
+    """(width in bytes, array typecode) of slots that hold |c| <= bound with the top bit clear.
+
+    The width is rounded up to an array item size (1, 2, 4 or 8 bytes); a
+    bound of 2^63 or more gets the smallest whole number of bytes and no
+    typecode, and its slots are converted one at a time.
+    """
+    need = bound.bit_length() // 8 + 1
+    return next(((size, code) for size, code in _WORDS if size >= need), (need, None))
+
+
+def _bias_int(bias: int, width: int, slots: int) -> int:
+    """The packed int with ``bias`` in each of ``slots`` slots."""
+    return int.from_bytes(bias.to_bytes(width, "little") * slots, "little")
 
 
 def _pack(
-    terms: dict[Monomial, int], span: int, width: int
+    terms: dict[Monomial, int], span: int, width: int, code: str | None
 ) -> dict[int, tuple[int, int]]:
     """Each t-slice of terms as (packed int, largest q-exponent).
 
     The term q^a t^k u^b lands in slot a*span + b of the t^k int, each slot
-    ``width`` bytes wide, little end first.  Positive and negative parts
-    are packed separately and subtracted, so the packed int is the exact
-    signed sum c * 256^(width*slot).
+    ``width`` bytes wide, little end first.  Every slot of a slice's words
+    holds bias + c, with bias = 2^(8*width-1) and c = 0 in an empty slot,
+    and one packed bias int per slice is subtracted, so the packed int is
+    the exact signed sum c * 256^(width*slot).
     """
-    by_t: dict[int, list[tuple[int, int, int]]] = {}
-    for mon, coeff in terms.items():
-        by_t.setdefault(mon.t, []).append((mon.q, mon.u, coeff))
+    by_t: dict[int, list[tuple[int, int]]] = {}
+    for (q, t, u), coeff in terms.items():
+        by_t.setdefault(t, []).append((q * span + u, coeff))
+    bias = 1 << (8 * width - 1)
     packed = {}
     for t, entries in by_t.items():
-        top_q = max(q for q, _, _ in entries)
-        size = (top_q + 1) * span * width
-        positive, negative = bytearray(size), bytearray(size)
-        for q, u, coeff in entries:
-            at = (q * span + u) * width
-            if coeff > 0:
-                positive[at : at + width] = coeff.to_bytes(width, "little")
-            else:
-                negative[at : at + width] = (-coeff).to_bytes(width, "little")
-        value = int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
-        packed[t] = (value, top_q)
+        top_q = max(entries)[0] // span
+        slots = (top_q + 1) * span
+        words = [bias] * slots if code is None else array.array(code, [bias]) * slots
+        for at, coeff in entries:
+            words[at] = bias + coeff
+        if code is None:
+            data = b"".join(word.to_bytes(width, "little") for word in words)
+        else:
+            if _BIG_ENDIAN:
+                words.byteswap()
+            data = words.tobytes()
+        packed[t] = (int.from_bytes(data, "little") - _bias_int(bias, width, slots), top_q)
     return packed
+
+
+def _unpack(
+    value: int, t: int, slots: int, span: int, width: int, code: str | None
+) -> Iterable[tuple[Monomial, int]]:
+    """The nonzero terms of a packed t-slice, read back at t-exponent t.
+
+    Adding the bias int turns every signed slot into a plain digit.  The
+    slice's words are range-checked once, through their least and greatest
+    values, and only the words that differ from the bias are decoded.
+    """
+    bias = 1 << (8 * width - 1)
+    digits = (value + _bias_int(bias, width, slots)).to_bytes(slots * width, "little")
+    if code is None:
+        words = [
+            int.from_bytes(digits[at : at + width], "little")
+            for at in range(0, len(digits), width)
+        ]
+    else:
+        words = array.array(code, digits)
+        if _BIG_ENDIAN:
+            words.byteswap()
+    _checked(min(words) - bias)
+    _checked(max(words) - bias)
+    live = list(map(bias.__ne__, words))
+    at = list(itertools.compress(range(slots), live))
+    keys = zip(map(span.__rfloordiv__, at), itertools.repeat(t), map(span.__rmod__, at))
+    return zip(
+        map(tuple.__new__, itertools.repeat(Monomial), keys),
+        map(bias.__rsub__, itertools.compress(words, live)),
+    )
 
 
 def _kronecker_product(
@@ -312,15 +385,11 @@ def _kronecker_product(
     """The canonical terms of a * b truncated at t^cap, every coefficient checked.
 
     A single-term operand c0 * m0 shifts the other operand's terms by m0
-    and scales them by c0.  Otherwise no product coefficient exceeds
-    min(||a||_1 ||b||_inf, ||a||_inf ||b||_1) in absolute value, so a slot
-    of ``width`` bytes, whose top bit stays clear for that bound, holds
-    each one exactly: adding 2^(8*width-1) to every slot turns the signed
-    sum into plain base-256^width digits.  The width is rounded up to an
-    array item size (1, 2, 4 or 8 bytes), so each t-slice is read back as
-    one array of words, and only the words that differ from the bias are
-    decoded and range-checked.  A bound of 2^63 or more needs wider slots,
-    which are read one at a time.
+    and scales them by c0, and the scaled coefficients are range-checked
+    once, through the least and the greatest.  Otherwise no product
+    coefficient exceeds min(||a||_1 ||b||_inf, ||a||_inf ||b||_1) in
+    absolute value, so slots of the width ``_slot_width`` gives that bound
+    hold each one exactly.
     """
     if not a or not b:
         return {}
@@ -328,20 +397,25 @@ def _kronecker_product(
         a, b = b, a
     if len(a) == 1:
         ((shift, c0),) = a.items()
-        return {
-            Monomial(m.q + shift.q, m.t + shift.t, m.u + shift.u): _checked(c * c0)
-            for m, c in b.items()
-            if m.t + shift.t <= cap
-        }
+        dq, dt, du = shift
+        kept = [(m, c) for m, c in b.items() if m.t <= cap - dt] if dt else b.items()
+        if not kept:
+            return {}
+        mons, coeffs = zip(*kept)
+        scaled = list(map(c0.__mul__, coeffs))
+        _checked(min(scaled))
+        _checked(max(scaled))
+        qs, ts, us = zip(*mons)
+        keys = zip(map(dq.__add__, qs), map(dt.__add__, ts), map(du.__add__, us))
+        return dict(zip(map(tuple.__new__, itertools.repeat(Monomial), keys), scaled))
     bound = min(
         sum(map(abs, a.values())) * max(map(abs, b.values())),
         max(map(abs, a.values())) * sum(map(abs, b.values())),
     )
-    need = bound.bit_length() // 8 + 1
-    width, code = next(((size, code) for size, code in _WORDS if size >= need), (need, None))
-    span = max(m.u for m in a) + max(m.u for m in b) + 1
-    a_slices = _pack(a, span, width)
-    b_slices = a_slices if b is a else _pack(b, span, width)
+    width, code = _slot_width(bound)
+    span = max(map(_U, a)) + max(map(_U, b)) + 1
+    a_slices = _pack(a, span, width, code)
+    b_slices = a_slices if b is a else _pack(b, span, width, code)
     sums: dict[int, int] = {}
     top_q: dict[int, int] = {}
     for t1, (x, qa) in a_slices.items():
@@ -350,28 +424,31 @@ def _kronecker_product(
             if t <= cap:
                 sums[t] = sums.get(t, 0) + x * y
                 top_q[t] = max(top_q.get(t, 0), qa + qb)
-    bias = 1 << (8 * width - 1)
-    bias_digit = bias.to_bytes(width, "little")
     out: dict[Monomial, int] = {}
     for t, value in sums.items():
-        slots = (top_q[t] + 1) * span
-        digits = (value + int.from_bytes(bias_digit * slots, "little")).to_bytes(
-            slots * width, "little"
-        )
-        if code is None:
-            words = [
-                int.from_bytes(digits[at : at + width], "little")
-                for at in range(0, len(digits), width)
-            ]
-        else:
-            words = array.array(code, digits)
-            if _BIG_ENDIAN:
-                words.byteswap()
-        for slot, word in enumerate(words):
-            if word != bias:
-                q, u = divmod(slot, span)
-                out[Monomial(q, t, u)] = _checked(word - bias)
+        out.update(_unpack(value, t, (top_q[t] + 1) * span, span, width, code))
     return out
+
+
+def _slice_power(
+    a: dict[Monomial, int], e: int, t: int, cap: int
+) -> dict[Monomial, int] | None:
+    """The canonical terms of a ** e, for nonzero a on one t-degree, at t-exponent t.
+
+    One pack, one big-int power and one readback: no coefficient of a ** e
+    exceeds ||a||_1^(e-1) ||a||_inf in absolute value, so slots of that
+    bound's width hold each one exactly.  Returns None when the bound needs
+    slots wider than 8 bytes, which the caller computes by squaring.
+    """
+    if t > cap:
+        return {}
+    bound = sum(map(abs, a.values())) ** (e - 1) * max(map(abs, a.values()))
+    width, code = _slot_width(bound)
+    if code is None:
+        return None
+    span = e * max(map(_U, a)) + 1
+    ((x, top_q),) = _pack(a, span, width, code).values()
+    return dict(_unpack(x**e, t, (e * top_q + 1) * span, span, width, code))
 
 
 def mul_by_terms(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
@@ -433,14 +510,24 @@ def expand_denominator(n: int, cap: int) -> TruncatedPoly:
 
 
 def lhs_term(r: int, n: int, k: int, cap: int) -> TruncatedPoly:
-    """The height-k summand ([k+1]_q + u [r-1]_u [k]_q)^n * t^k."""
+    """The height-k summand ([k+1]_q + u [r-1]_u [k]_q)^n * t^k.
+
+    The base has the term q^j u^i, with coefficient 1, for i = 0 and j <= k
+    and for 0 < i < r and j < k.  It lies on t-degree 0, so its n-th power
+    is read back directly at t^k, with no shift; a base whose power bound
+    needs slots wider than 8 bytes is raised by squaring and shifted.
+    """
     if r < 1 or n < 1:
         raise ValueError(f"r and n must be positive, got r={r}, n={n}")
     if k < 0 or k > cap:
         raise ValueError(f"k must lie in [0, cap], got k={k}, cap={cap}")
-    colored = TruncatedPoly.term(cap, 1, u=1) * u_integer(r - 1, cap) * q_integer(k, cap)
-    base = q_integer(k + 1, cap) + colored
-    return base**n * TruncatedPoly.term(cap, 1, t=k)
+    base = TruncatedPoly._trusted(
+        cap, {Monomial(j, 0, i): 1 for i in range(r) for j in range(k + (i == 0))}
+    )
+    terms = _slice_power(base._terms, n, k, cap)
+    if terms is None:
+        return base**n * TruncatedPoly.term(cap, 1, t=k)
+    return TruncatedPoly._trusted(cap, terms)
 
 
 def first_difference(a: TruncatedPoly, b: TruncatedPoly) -> tuple[Monomial, int, int] | None:

@@ -1,13 +1,17 @@
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wreath_identity import poly
 from wreath_identity.poly import (
     CoefficientOverflowError,
     INT64_MAX,
     INT64_MIN,
     Monomial,
     TruncatedPoly,
+    _slot_width,
     expand_denominator,
     first_difference,
     lhs_term,
@@ -449,6 +453,241 @@ def test_mixed_sign_product_is_exact_where_partial_sums_overflow():
     assert a * b == expected
     with pytest.raises(CoefficientOverflowError):
         mul_by_terms(a, b)
+
+
+# -- powers against the product chain ---------------------------------------------
+
+
+def chain_power(p, e):
+    """p ** e as the chain ((1 * p) * p) * ... through the term-pair oracle."""
+    result = TruncatedPoly.one(p.t_cap)
+    for _ in range(e):
+        result = mul_by_terms(result, p)
+    return result
+
+
+def unchecked_power(p, e):
+    """The exact nonzero coefficients of p ** e, with no range check."""
+    result = {Monomial(0, 0, 0): 1}
+    for _ in range(e):
+        out = {}
+        for m1, c1 in result.items():
+            for m2, c2 in p.terms.items():
+                if m1.t + m2.t <= p.t_cap:
+                    mon = Monomial(m1.q + m2.q, m1.t + m2.t, m1.u + m2.u)
+                    out[mon] = out.get(mon, 0) + c1 * c2
+        result = {mon: c for mon, c in out.items() if c}
+    return result
+
+
+def fits(terms):
+    return all(INT64_MIN <= c <= INT64_MAX for c in terms.values())
+
+
+def slice_polys(cap, coeffs, t=None, top=12):
+    """Polynomials whose terms all lie on one t-degree (t, or a drawn one)."""
+    degree = st.just(t) if t is not None else st.integers(0, cap)
+    exponents = st.tuples(st.integers(0, top), st.integers(0, top))
+    return degree.flatmap(
+        lambda t: st.dictionaries(exponents, coeffs, min_size=1, max_size=6).map(
+            lambda qu: TruncatedPoly(cap, {Monomial(q, t, u): c for (q, u), c in qu.items()})
+        )
+    )
+
+
+# The term-pair chain can take longer than the default deadline.
+@settings(deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda cap: st.one_of(slice_polys(cap, SMALL), polys(cap, SMALL))
+    ),
+    st.integers(0, 6),
+)
+def test_power_matches_the_product_chain(p, e):
+    # Single-slice bases take one big-int power, the others repeated
+    # squaring; both are drawn signed, with results past the cap included.
+    assert p**e == chain_power(p, e)
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda cap: slice_polys(cap, SMALL, t=cap)), st.integers(2, 6)
+)
+def test_single_slice_power_past_the_cap_is_zero(p, e):
+    assert p**e == TruncatedPoly.zero(p.t_cap) == chain_power(p, e)
+
+
+def test_single_slice_power_past_the_cap_forms_no_intermediate():
+    # (2^40 t)^3 at cap 2 is zero; the chain refuses its square 2^80 t^2.
+    p = TruncatedPoly.term(2, 2**40, t=1)
+    assert p**3 == TruncatedPoly.zero(2)
+    with pytest.raises(CoefficientOverflowError):
+        chain_power(p, 3)
+
+
+def nonnegative_bases_near_int64(cap_e):
+    """(base, e) with e * t-degree <= cap, coefficients near 2^(63/e)."""
+    cap, e = cap_e
+    size = st.integers(0, min(2 ** (64 // e + 1), 2**62 - 1))
+    single = st.integers(0, cap // e).flatmap(lambda t: slice_polys(cap, size, t=t, top=3))
+    # A multi-slice base with a term at t^0: its powers' largest
+    # coefficients never shrink with the exponent, as on one slice.
+    multi = st.tuples(
+        slice_polys(cap, size.filter(bool), t=0, top=3), slice_polys(cap, size, top=3)
+    ).map(lambda pair: pair[0] + pair[1])
+    return st.tuples(st.one_of(single, multi), st.just(e))
+
+
+# The term-pair chain can take longer than the default deadline.
+@settings(deadline=None)
+@given(
+    st.tuples(st.integers(0, 6), st.integers(1, 6)).flatmap(nonnegative_bases_near_int64)
+)
+def test_nonnegative_power_refuses_exactly_where_the_chain_refuses(pair):
+    p, e = pair
+    exact = unchecked_power(p, e)
+    if fits(exact):
+        assert (p**e).terms == exact == chain_power(p, e).terms
+    else:
+        with pytest.raises(CoefficientOverflowError):
+            p**e
+        with pytest.raises(CoefficientOverflowError):
+            chain_power(p, e)
+
+
+# The term-pair chain can take longer than the default deadline.
+@settings(deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda cap: slice_polys(cap, NEAR_2_62 | st.integers(-(2**21), 2**21))
+    ),
+    st.integers(1, 4),
+)
+def test_signed_power_is_exact_where_it_is_not_refused(p, e):
+    # A signed chain may refuse a partial sum whose final coefficient fits;
+    # the power is refused only when its exact result leaves the range.
+    exact = unchecked_power(p, e)
+    if fits(exact):
+        assert (p**e).terms == exact
+        try:
+            assert chain_power(p, e).terms == exact
+        except CoefficientOverflowError:
+            pass
+    else:
+        with pytest.raises(CoefficientOverflowError):
+            p**e
+        with pytest.raises(CoefficientOverflowError):
+            chain_power(p, e)
+
+
+@pytest.mark.parametrize("bound_bits", [7, 8, 15, 16, 31, 32, 63, 64])
+@pytest.mark.parametrize("top", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_powers_on_both_sides_of_each_rounded_slot_width(bound_bits, top, sign):
+    # (c + sign*c*u)^2 has coefficients c^2, 2*sign*c^2, c^2, and its bound
+    # ||a||_1 * ||a||_inf is 2c^2, reached by the middle one.  At 64 bits
+    # the bound passes 2^63 and the power is taken by squaring: 2c^2 then
+    # leaves int64 unless it is exactly -2^63.
+    if top:
+        c = math.isqrt((2**bound_bits - 1) // 2)
+    else:
+        c = math.isqrt(2 ** (bound_bits - 2) - 1) + 1
+    assert (2 * c * c).bit_length() == bound_bits
+    p = poly_of(3, {(0, 1, 0): c, (0, 1, 1): sign * c})
+    exact = {(0, 2, 0): c * c, (0, 2, 1): 2 * sign * c * c, (0, 2, 2): c * c}
+    if fits(exact):
+        assert (p**2).terms == exact == chain_power(p, 2).terms
+    else:
+        assert bound_bits == 64
+        with pytest.raises(CoefficientOverflowError):
+            p**2
+        with pytest.raises(CoefficientOverflowError):
+            chain_power(p, 2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_power_with_a_bound_past_2_63_takes_the_wide_path(sign):
+    # c^3 (1 + s q + q^2 + s q^3)^3, s = sign, has largest |coefficient|
+    # 12 c^3 against the bound 16 c^3: the bound passes 2^63, the result fits.
+    c = int((2**59) ** (1 / 3)) - 1
+    while 16 * c**3 < 2**63:
+        c += 1
+    assert 12 * c**3 <= INT64_MAX
+    assert _slot_width(16 * c**3)[1] is None
+    p = poly_of(1, {(j, 0, 0): sign**j * c for j in range(4)})
+    assert p**3 == chain_power(p, 3)
+    assert max(map(abs, (p**3).terms.values())) == 12 * c**3
+
+
+def test_kernel_range_check_follows_int64_max(monkeypatch):
+    # The range check reads the module's bounds at call time, once per
+    # slice: a product, a power and a shift each refuse past a lowered bound.
+    monkeypatch.setattr(poly, "INT64_MAX", 100)
+    monkeypatch.setattr(poly, "INT64_MIN", -100)
+    one_plus_q = q_integer(2, 1)
+    assert (one_plus_q * poly_of(1, {(0, 0, 0): 50, (1, 0, 0): 50})).coefficient(q=1) == 100
+    with pytest.raises(CoefficientOverflowError):
+        one_plus_q * poly_of(1, {(0, 0, 0): 51, (1, 0, 1): 51, (1, 0, 0): 51})
+    with pytest.raises(CoefficientOverflowError):
+        one_plus_q * poly_of(1, {(0, 0, 0): -51, (1, 0, 0): -51})
+    assert (one_plus_q**8).coefficient(q=4) == 70
+    with pytest.raises(CoefficientOverflowError):
+        one_plus_q**9
+    with pytest.raises(CoefficientOverflowError):
+        lhs_term(1, 9, 1, 1)
+    # Scaled by 2 only the least coefficient leaves the range, by -2 only
+    # the greatest.
+    p = poly_of(1, {(0, 0, 0): 1, (2, 0, 0): -60})
+    assert (p * TruncatedPoly.term(1, 1, t=1)).coefficient(q=2, t=1) == -60
+    for scale in (2, -2):
+        with pytest.raises(CoefficientOverflowError):
+            p * TruncatedPoly.term(1, scale, t=1)
+        with pytest.raises(CoefficientOverflowError):
+            TruncatedPoly.term(1, scale, u=1) * p
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_lhs_term_matches_the_product_chain(r, n):
+    cap = 6
+    for k in range(cap + 1):
+        colored = mul_by_terms(TruncatedPoly.term(cap, 1, u=1), u_integer(r - 1, cap))
+        base = q_integer(k + 1, cap) + mul_by_terms(colored, q_integer(k, cap))
+        expected = mul_by_terms(chain_power(base, n), TruncatedPoly.term(cap, 1, t=k))
+        assert lhs_term(r, n, k, cap) == expected
+
+
+def test_lhs_term_with_a_bound_past_2_63_is_squared_and_shifted():
+    # [19]_q^16: the bound 19^15 passes 2^63, every coefficient fits.
+    assert _slot_width(19**15)[1] is None
+    term = lhs_term(1, 16, 18, 18)
+    power = chain_power(q_integer(19, 18), 16)
+    assert term == mul_by_terms(power, TruncatedPoly.term(18, 1, t=18))
+
+
+def termwise_sum(a, b):
+    out = dict(a.terms)
+    for mon, c in b.terms.items():
+        out[mon] = out.get(mon, 0) + c
+    return {mon: c for mon, c in out.items() if c}
+
+
+@given(small_polys(3), small_polys(3), st.data())
+def test_sum_matches_the_termwise_sum(a, b, data):
+    # Overlapping supports (small exponent ranges make overlaps likely),
+    # including cancellation against a part of -a.
+    part = data.draw(st.sets(st.sampled_from(sorted(a.terms) or [Monomial(0, 0, 0)])))
+    minus = TruncatedPoly(3, {m: -c for m, c in a.terms.items() if m in part})
+    for left, right in ((a, b), (b, a), (a, minus), (minus, b)):
+        assert (left + right).terms == termwise_sum(left, right)
+
+
+@given(polys(4, SMALL.filter(bool)), st.data())
+def test_sum_of_disjoint_supports_is_the_union(p, data):
+    keep = data.draw(st.sets(st.sampled_from(sorted(p.terms) or [Monomial(0, 0, 0)])))
+    a = TruncatedPoly(4, {m: c for m, c in p.terms.items() if m in keep})
+    b = TruncatedPoly(4, {m: c for m, c in p.terms.items() if m not in keep})
+    assert a + b == b + a == p
+    assert (a + b).terms == termwise_sum(a, b)
 
 
 # -- inspection ------------------------------------------------------------------
