@@ -21,19 +21,19 @@ only the words that differ from the bias are decoded into monomials.
 A product by a single term is a shift of the other operand, with no packing.
 
 A power of a polynomial on one t-degree is one pack, one big-int power and
-one readback, with slots sized from ||a||_1^(e-1) * ||a||_inf; a result
-past the cap is zero without any arithmetic.  ``lhs_term`` reads its power
-back directly at t^k.  Powers of other polynomials, and powers whose bound
-needs slots wider than 8 bytes, are taken by repeated squaring.  A sum of
+one readback, with slots sized from ||a||_1^(e-1) * ||a||_inf at any width;
+a result past the cap is zero without any arithmetic.  ``lhs_term`` reads
+its power back directly at t^k.  A power of a polynomial on several
+t-degrees, or of zero, is the chain of products 1 * a * ... * a.  A sum of
 polynomials with disjoint supports is the union of their term maps.
 ``mul_by_terms`` keeps the term-pair loop as the oracle.
 
 Coefficients are integers kept inside the signed 64-bit range; an operation
 whose result would leave that range raises CoefficientOverflowError instead
-of wrapping or growing silently.  Products are exact before this check, so a
-product is refused exactly when one of its coefficients leaves the range.  So
-is a power on one t-degree; a power by squaring is also refused when an
-intermediate product leaves the range.
+of wrapping or growing silently.  Results are exact before this check, so a
+product, a sum and a power on one t-degree are refused exactly when one of
+their coefficients leaves the range.  Only the chain for a power on several
+t-degrees can also be refused on an intermediate product.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import array
 import functools
 import itertools
 from collections.abc import Iterable, Mapping
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 INT64_MIN = -(2**63)
@@ -220,23 +220,17 @@ class TruncatedPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> TruncatedPoly:
+        """One big-int power on one t-degree, refused exactly when a result coefficient
+        leaves int64; on several t-degrees, the chain 1 * self * ... * self of products."""
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {e}")
         degrees = set(map(_T, self._terms))
         if e and len(degrees) == 1:
             (t,) = degrees
-            terms = _slice_power(self._terms, e, e * t, self.t_cap)
-            if terms is not None:
-                return TruncatedPoly._trusted(self.t_cap, terms)
-        result = TruncatedPoly.one(self.t_cap)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+            return TruncatedPoly._trusted(
+                self.t_cap, _slice_power(self._terms, e, e * t, self.t_cap)
+            )
+        return functools.reduce(mul, itertools.repeat(self, e), TruncatedPoly.one(self.t_cap))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedPoly):
@@ -415,7 +409,7 @@ def _kronecker_product(
     width, code = _slot_width(bound)
     span = max(map(_U, a)) + max(map(_U, b)) + 1
     a_slices = _pack(a, span, width, code)
-    b_slices = a_slices if b is a else _pack(b, span, width, code)
+    b_slices = _pack(b, span, width, code)
     sums: dict[int, int] = {}
     top_q: dict[int, int] = {}
     for t1, (x, qa) in a_slices.items():
@@ -430,22 +424,19 @@ def _kronecker_product(
     return out
 
 
-def _slice_power(
-    a: dict[Monomial, int], e: int, t: int, cap: int
-) -> dict[Monomial, int] | None:
+def _slice_power(a: dict[Monomial, int], e: int, t: int, cap: int) -> dict[Monomial, int]:
     """The canonical terms of a ** e, for nonzero a on one t-degree, at t-exponent t.
 
     One pack, one big-int power and one readback: no coefficient of a ** e
     exceeds ||a||_1^(e-1) ||a||_inf in absolute value, so slots of that
-    bound's width hold each one exactly.  Returns None when the bound needs
-    slots wider than 8 bytes, which the caller computes by squaring.
+    bound's width hold each one exactly, at any width.  Every coefficient
+    is range-checked on readback, so the power is refused exactly when one
+    of them leaves the signed 64-bit range.
     """
     if t > cap:
         return {}
     bound = sum(map(abs, a.values())) ** (e - 1) * max(map(abs, a.values()))
     width, code = _slot_width(bound)
-    if code is None:
-        return None
     span = e * max(map(_U, a)) + 1
     ((x, top_q),) = _pack(a, span, width, code).values()
     return dict(_unpack(x**e, t, (e * top_q + 1) * span, span, width, code))
@@ -514,20 +505,14 @@ def lhs_term(r: int, n: int, k: int, cap: int) -> TruncatedPoly:
 
     The base has the term q^j u^i, with coefficient 1, for i = 0 and j <= k
     and for 0 < i < r and j < k.  It lies on t-degree 0, so its n-th power
-    is read back directly at t^k, with no shift; a base whose power bound
-    needs slots wider than 8 bytes is raised by squaring and shifted.
+    is one power on one t-degree, read back directly at t^k with no shift.
     """
     if r < 1 or n < 1:
         raise ValueError(f"r and n must be positive, got r={r}, n={n}")
     if k < 0 or k > cap:
         raise ValueError(f"k must lie in [0, cap], got k={k}, cap={cap}")
-    base = TruncatedPoly._trusted(
-        cap, {Monomial(j, 0, i): 1 for i in range(r) for j in range(k + (i == 0))}
-    )
-    terms = _slice_power(base._terms, n, k, cap)
-    if terms is None:
-        return base**n * TruncatedPoly.term(cap, 1, t=k)
-    return TruncatedPoly._trusted(cap, terms)
+    base = {Monomial(j, 0, i): 1 for i in range(r) for j in range(k + (i == 0))}
+    return TruncatedPoly._trusted(cap, _slice_power(base, n, k, cap))
 
 
 def first_difference(a: TruncatedPoly, b: TruncatedPoly) -> tuple[Monomial, int, int] | None:

@@ -65,6 +65,11 @@ def test_binomial_square():
 def test_pow_zero_is_one():
     p = poly_of(3, {(1, 1, 2): 7, (0, 2, 0): -3})
     assert p**0 == TruncatedPoly.one(3)
+    # Empty cube intervals (color > 0 at height 0) are raised to powers.
+    zero = TruncatedPoly.zero(3)
+    assert zero**0 == TruncatedPoly.one(3)
+    for e in range(1, 5):
+        assert zero**e == zero
 
 
 def test_mul_discards_past_the_cap():
@@ -504,8 +509,8 @@ def slice_polys(cap, coeffs, t=None, top=12):
     st.integers(0, 6),
 )
 def test_power_matches_the_product_chain(p, e):
-    # Single-slice bases take one big-int power, the others repeated
-    # squaring; both are drawn signed, with results past the cap included.
+    # Single-slice bases take one big-int power, the others the chain of
+    # products; both are drawn signed, with results past the cap included.
     assert p**e == chain_power(p, e)
 
 
@@ -585,7 +590,7 @@ def test_signed_power_is_exact_where_it_is_not_refused(p, e):
 def test_powers_on_both_sides_of_each_rounded_slot_width(bound_bits, top, sign):
     # (c + sign*c*u)^2 has coefficients c^2, 2*sign*c^2, c^2, and its bound
     # ||a||_1 * ||a||_inf is 2c^2, reached by the middle one.  At 64 bits
-    # the bound passes 2^63 and the power is taken by squaring: 2c^2 then
+    # the bound passes 2^63 and the power takes 9-byte slots: 2c^2 then
     # leaves int64 unless it is exactly -2^63.
     if top:
         c = math.isqrt((2**bound_bits - 1) // 2)
@@ -656,12 +661,19 @@ def test_lhs_term_matches_the_product_chain(r, n):
         assert lhs_term(r, n, k, cap) == expected
 
 
-def test_lhs_term_with_a_bound_past_2_63_is_squared_and_shifted():
-    # [19]_q^16: the bound 19^15 passes 2^63, every coefficient fits.
+def test_lhs_term_with_a_bound_past_2_63_is_one_power(monkeypatch):
+    # [19]_q^16: the bound 19^15 passes 2^63, every coefficient fits.  Both
+    # powers lie on one t-degree, so neither takes a product.
     assert _slot_width(19**15)[1] is None
-    term = lhs_term(1, 16, 18, 18)
     power = chain_power(q_integer(19, 18), 16)
-    assert term == mul_by_terms(power, TruncatedPoly.term(18, 1, t=18))
+    shifted = mul_by_terms(power, TruncatedPoly.term(18, 1, t=18))
+
+    def no_product(*args):
+        raise AssertionError("a power on one t-degree took a product")
+
+    monkeypatch.setattr(poly, "_kronecker_product", no_product)
+    assert lhs_term(1, 16, 18, 18) == shifted
+    assert q_integer(19, 18) ** 16 == power
 
 
 def termwise_sum(a, b):
