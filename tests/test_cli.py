@@ -158,8 +158,12 @@ STDOUT_SHA256 = {
     ("table --r 2 --n 3", "tsv"): "74bfdc1ca84d90b62a2d3fde8cd15c9afd727ccb6fa1f9d5f78024e8863cd8ba",
     ("table --r 3 --n 4", "json"): "33fd8a7d630b91692466ee174682b7dd3bd9616837e06f7c62bd9abc6be40498",
     ("table --r 3 --n 4", "tsv"): "5fc77b5c13874f0aa1484dbca08edc07a3c8dfd9704ab04f0284ae17273446ca",
+    ("table --r 2 --n 5", "json"): "bf7877e4b9005844c7ad84e6313b90f0942c2d9fb79ad2fe6699aa494df25b1e",
+    ("table --r 2 --n 5", "tsv"): "29de6d004de87345b4847792774d9f9362dd8ec72a3060b6365858858628ab7e",
     ("table --r 3 --n 3 --filter-eps 1,0,1", "json"): "e3eeb124972cc128b3197a1327f702e9a11b46470ad1cd46ec1769587aa6bea4",
     ("table --r 3 --n 3 --filter-eps 1,0,1", "tsv"): "153e71ac7d8b454369c64f5558814f5a57b3b59118ba043c406f978978397345",
+    ("table --r 3 --n 4 --filter-eps 2,0,1,1", "json"): "c24435bbbbfd8726a113c12fdb6ef034efe48546548040d8cec4cd22c4bbe468",
+    ("table --r 3 --n 4 --filter-eps 2,0,1,1", "tsv"): "364caabb1ace06bd365d2e1e783499abe9babb4143a3fe220cb49162b304da31",
     ("figure --r 2 --n 2 --k 2", "json"): "4d6f8ecd8d7b5bce1672156844e899b09feb5cac4e470db03cbf163dbe9f4dfa",
     ("figure --r 2 --n 2 --k 2", "tsv"): "d68d3b5580a2d3e8a4327f6b710cf9001f111717bc44ef0e32cc3b0fefd32111",
     ("decompose --r 2 --n 3 --k 2", "json"): "ace363796b9a3c247e7c1b83846f0c0e0c7122c12ada4033d254c44f76ebb52d",
