@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import json
+import operator
 import sys
 from collections.abc import Iterable, Sequence
 from json.encoder import encode_basestring_ascii
@@ -150,7 +150,9 @@ def _emit(
     JSON goes through the one writer :func:`_indented`, whose text is
     byte-identical to ``json.dumps(records, indent=2)``.  ``rows``, the TSV
     projection of ``records``, is read only for tsv; pass a generator, so
-    that no list of row tuples is held next to the output.
+    that no list of row tuples is held next to the output.  ``table`` builds
+    no records and does not come here: :func:`cmd_table` writes each row in
+    this layout from texts made once per descent set and per color choice.
     """
     if config.format == "json":
         return _indented(records, "\n") + "\n"
@@ -201,47 +203,100 @@ def cmd_verify(config: RunConfig) -> tuple[int, str]:
     return code, _emit(config, records, header, rows)
 
 
-def _table_records(pi: tuple[int, ...], choices: Sequence[Sequence[int]]) -> list[dict]:
-    """Table records of the windows pi^colors, colors over ``product(*choices)``.
+class _DescentFragments(dict):
+    """Table text of Des, maj and des, per support, for one descent pattern of pi.
 
-    ``choices[i]`` lists the colors of window position i, increasing, so the
-    records come in lexicographic order of the color vector.  The colored-
-    letter order reads a color only through ``color > 0``, so a window has
-    the descent set of its support: ``descent_set`` runs once per support,
-    on the window with colors ``min(c, 1)``, and its rows share the result.
+    Under :func:`bz_sort_key` position 0 descends exactly when the first
+    support bit is 1, and a position i >= 1 depends only on the support bits
+    at i and i+1 and on whether pi(i) > pi(i+1): on 0,0 it descends iff
+    pi(i) > pi(i+1), on 1,1 iff pi(i) < pi(i+1), on 0,1 always and on 1,0
+    never.  So the windows pi^support of every pi with one pattern share a
+    descent set, and a missing support costs one ``descent_set`` call on
+    the first such pi.
     """
-    tokens = [[f"{v}^{c}" for c in colors] for v, colors in zip(pi, choices)]
-    texts = map("[{}]".format, map(" ".join, itertools.product(*tokens)))
-    marks = [[min(c, 1) for c in colors] for colors in choices]
-    stats = {}
-    for support in itertools.product(*map(sorted, map(set, marks))):
-        descents = sorted(descent_set(ColoredPermutation._trusted(pi, support)))
-        stats[support] = descents, sum(descents), len(descents)
-    rows = map(stats.__getitem__, itertools.product(*marks))
-    cols = map(sum, itertools.product(*choices))
-    return [
-        {"window": text, "Des": descents, "maj": major, "des": count, "col": total}
-        for text, (descents, major, count), total in zip(texts, rows, cols)
-    ]
+
+    def __init__(self, pi: tuple[int, ...], render):
+        super().__init__()
+        self.pi, self.render = pi, render
+
+    def __missing__(self, support: tuple[int, ...]) -> str:
+        descents = sorted(descent_set(ColoredPermutation._trusted(self.pi, support)))
+        self[support] = text = self.render(descents)
+        return text
+
+
+def _json_stats(descents: list[int]) -> str:
+    """The "Des", "maj" and "des" values of a table record, as _indented nests them."""
+    return (
+        _indented(descents, "\n    ")
+        + ',\n    "maj": '
+        + str(sum(descents))
+        + ',\n    "des": '
+        + str(len(descents))
+    )
+
+
+def _tsv_stats(descents: list[int]) -> str:
+    return f"{_compact(descents)}\t{sum(descents)}\t{len(descents)}"
+
+
+# Per format: the text before the first row, a row's template with fields
+# for the window's letters, its Des/maj/des text and its col, the text
+# between rows, the text after the last row, and the Des/maj/des writer.
+# The JSON rows are records laid out as _indented lays them out; a window's
+# text holds only digits, "^", spaces and brackets, which JSON leaves as is.
+_TABLE_LAYOUT = {
+    "json": (
+        "[\n  ",
+        '{{\n    "window": "[{}]",\n    "Des": {},\n    "col": {}\n  }}',
+        ",\n  ",
+        "\n]\n",
+        _json_stats,
+    ),
+    "tsv": ("window\tDes\tmaj\tdes\tcol\n", "[{}]\t{}\t{}\n", "", "", _tsv_stats),
+}
 
 
 def cmd_table(config: RunConfig) -> tuple[int, str]:
-    perms = itertools.permutations(range(1, config.n + 1))
+    """One row per window pi^colors: pi in lexicographic order, then the colors.
+
+    Each row is its window's text, the Des/maj/des text of its descent set
+    and the text of its col.  The descent set comes from the window's
+    descent pattern and support (:class:`_DescentFragments`), so a command
+    makes at most 2^(n-1) * 2^n ``descent_set`` calls and renders each
+    descent set once; col texts are made once per list of color choices.
+    """
+    n = config.n
+    perms = itertools.permutations(range(1, n + 1))
     if config.filter_eps is not None:
-        eps = _parse_eps(config.filter_eps, config.r, config.n)
-        check_group_order(1, config.n, config.budget)  # G_eps has n! windows
-        walk = ((pi, [(eps[v - 1],) for v in pi]) for pi in perms)
+        eps = _parse_eps(config.filter_eps, config.r, n)
+        check_group_order(1, n, config.budget)  # G_eps has n! windows
+        cols = [str(sum(eps))]
+        walk = (
+            (pi, [(eps[v - 1],) for v in pi], [tuple(min(eps[v - 1], 1) for v in pi)], cols)
+            for pi in perms
+        )
     else:
-        check_group_order(config.r, config.n, config.budget)
-        every = [range(config.r)] * config.n
-        walk = ((pi, every) for pi in perms)
-    records = [record for pi, choices in walk for record in _table_records(pi, choices)]
-    compact_des = functools.cache(_compact)  # at most 2^n distinct descent sets
-    rows = (
-        (d["window"], compact_des(tuple(d["Des"])), d["maj"], d["des"], d["col"])
-        for d in records
-    )
-    return EXIT_PASS, _emit(config, records, ("window", "Des", "maj", "des", "col"), rows)
+        check_group_order(config.r, n, config.budget)
+        every = [range(config.r)] * n
+        supports = list(itertools.product([min(c, 1) for c in range(config.r)], repeat=n))
+        cols = list(map(str, map(sum, itertools.product(*every))))
+        walk = ((pi, every, supports, cols) for pi in perms)
+    head, row, sep, tail, render = _TABLE_LAYOUT[config.format]
+    by_pattern: dict[tuple[bool, ...], _DescentFragments] = {}
+    parts = [head]
+    for pi, choices, supports, cols in walk:
+        pattern = tuple(map(operator.gt, pi, pi[1:]))
+        fragments = by_pattern.get(pattern)
+        if fragments is None:
+            fragments = by_pattern[pattern] = _DescentFragments(pi, render)
+        tokens = [[f"{v}^{c}" for c in colors] for v, colors in zip(pi, choices)]
+        windows = map(" ".join, itertools.product(*tokens))
+        stats = map(fragments.__getitem__, supports)
+        parts.append(sep.join(map(row.format, windows, stats, cols)))
+        parts.append(sep)
+    parts[-1] = tail
+    return EXIT_PASS, "".join(parts)
 
 
 def cmd_figure(config: RunConfig) -> tuple[int, str]:

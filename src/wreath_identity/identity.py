@@ -430,7 +430,10 @@ def verify_theorem(
     started = time.perf_counter()
     params = {"r": r, "n": n, "t_cap": cap}
     rhs = numerator(r, n, cap, budget) * expand_denominator(n, cap)
-    lhs = TruncatedPoly.zero(cap)
+    # Height k lies on t-degree k alone, so the heights' term maps are
+    # disjoint: merge them into one map, copying each height once.
+    lhs_terms: dict = {}
     for k in range(cap + 1):
-        lhs = lhs + lhs_term(r, n, k, cap)
+        lhs_terms.update(lhs_term(r, n, k, cap)._terms)
+    lhs = TruncatedPoly._trusted(cap, lhs_terms)
     return report_from_comparison("theorem", params, lhs, rhs, started)

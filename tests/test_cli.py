@@ -266,8 +266,8 @@ def test_table_r1_is_classical(capsys):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_table_rows_match_window_statistics(capsys, r):
-    # table takes descents once per support; r = 4 folds three positive
-    # colors onto each colored letter of a support.
+    # table takes descents once per descent pattern and support; r = 4
+    # folds three positive colors onto each colored letter of a support.
     for n in range(1, 4 if r == 4 else 5):
         code, out, _ = run_cli(capsys, "table", "--r", str(r), "--n", str(n))
         assert code == 0
@@ -301,6 +301,116 @@ def test_table_filter_eps_rows_match_g_epsilon(capsys, r):
                     }
                 )
             assert json.loads(out) == expected, eps
+
+
+def table_oracle(r, n, fmt, eps=None):
+    """table's stdout built row by row: one record and one descent_set per window.
+
+    Windows come pi by pi in lexicographic order, and for each pi every color
+    vector in lexicographic order, or only the colors of ``eps`` (indexed by
+    letter) when it is given.
+    """
+    records = []
+    for pi in itertools.permutations(range(1, n + 1)):
+        if eps is None:
+            vectors = itertools.product(range(r), repeat=n)
+        else:
+            vectors = [tuple(eps[v - 1] for v in pi)]
+        for colors in vectors:
+            w = ColoredPermutation(pi, colors)
+            descents = sorted(descent_set(w))
+            records.append(
+                {
+                    "window": w.window_str(),
+                    "Des": descents,
+                    "maj": sum(descents),
+                    "des": len(descents),
+                    "col": col(w),
+                }
+            )
+    if fmt == "json":
+        return json.dumps(records, indent=2) + "\n"
+    lines = ["window\tDes\tmaj\tdes\tcol"]
+    for d in records:
+        des_text = json.dumps(d["Des"], separators=(",", ":"))
+        lines.append(f"{d['window']}\t{des_text}\t{d['maj']}\t{d['des']}\t{d['col']}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize(
+    "r,n", [(r, n) for r in range(1, 5) for n in range(1, 5)] + [(2, 5), (3, 5)]
+)
+def test_table_matches_row_by_row_oracle(capsys, r, n, fmt):
+    code, out, err = run_cli(capsys, "table", "--r", str(r), "--n", str(n), "--format", fmt)
+    assert code == 0, err
+    assert out == table_oracle(r, n, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_table_filter_eps_matches_row_by_row_oracle(capsys, r, fmt):
+    for n in range(1, 4):
+        for eps in itertools.product(range(r), repeat=n):
+            argv = ["table", "--r", str(r), "--n", str(n), "--format", fmt]
+            code, out, err = run_cli(capsys, *argv, "--filter-eps", ",".join(map(str, eps)))
+            assert code == 0, err
+            assert out == table_oracle(r, n, fmt, eps), eps
+
+
+@st.composite
+def same_pattern_windows(draw):
+    """Two windows whose pi have one descent pattern, with colors of one support."""
+    n = draw(st.integers(1, 8))
+    pi = draw(st.permutations(range(1, n + 1)))
+    # A walk that steps down exactly where pi does has pi's pattern, and so
+    # has its ranking; ties between non-adjacent steps go to position.
+    heights = [0]
+    for a, b in zip(pi, pi[1:]):
+        step = draw(st.integers(1, 50))
+        heights.append(heights[-1] - step if a > b else heights[-1] + step)
+    order = sorted(range(n), key=lambda i: (heights[i], i))
+    other = [0] * n
+    for rank, i in enumerate(order, 1):
+        other[i] = rank
+    support = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    colors = [
+        [draw(st.integers(1, 4)) if bit else 0 for bit in support] for _ in range(2)
+    ]
+    return (
+        ColoredPermutation(tuple(pi), tuple(colors[0])),
+        ColoredPermutation(tuple(other), tuple(colors[1])),
+    )
+
+
+@given(same_pattern_windows())
+def test_descent_set_depends_only_on_pattern_and_support(windows):
+    first, second = windows
+    pattern = [a > b for a, b in zip(first.pi, first.pi[1:])]
+    assert pattern == [a > b for a, b in zip(second.pi, second.pi[1:])]
+    # The rule table's fragments rely on: position 0 descends on a colored
+    # first letter; position i >= 1 by the support bits at i, i+1 and pi's step.
+    s = [c > 0 for c in first.colors]
+    rule = {0} if s[0] else set()
+    for i, down in enumerate(pattern, 1):
+        if (s[i - 1], s[i]) == (False, True) or (s[i - 1] == s[i] and down != s[i]):
+            rule.add(i)
+    assert descent_set(first) == descent_set(second) == rule
+
+
+def test_table_makes_one_descent_set_call_per_pattern_and_support(capsys, monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return descent_set(w)
+
+    monkeypatch.setattr(cli, "descent_set", counted)
+    n = 6
+    code, out, err = run_cli(capsys, "table", "--r", "2", "--n", str(n), "--format", "tsv")
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + 2**n * 720
+    assert 0 < len(calls) <= 2 ** (n - 1) * 2**n
 
 
 def test_table_tsv(capsys):
