@@ -4,12 +4,13 @@ Every command is deterministic: byte-identical output for identical
 configuration (report timings are zeroed on emission for this reason).
 Exit codes: 0 all checks pass, 1 a verified claim failed, 2 usage or
 precondition error, 3 enumeration budget exceeded or coefficient overflow.
+:class:`RunConfig` is a :class:`~wreath_identity.wreath.Frozen` value: every
+command is a fresh process, and importing ``dataclasses`` would cost each one.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import operator
@@ -23,6 +24,7 @@ from .wreath import (
     DEFAULT_BUDGET,
     ColoredPermutation,
     EpsilonVector,
+    Frozen,
     check_group_order,
     color_classes,
     descent_set,
@@ -60,31 +62,36 @@ class ClaimFailedError(RuntimeError):
     """A checked claim that has no report to carry its failure (exit 1)."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """One command's validated parameters."""
 
-    r: int
-    n: int
-    t_cap: int
-    budget: int = DEFAULT_BUDGET
-    format: str = "json"
-    out: str | None = None
-    k: int | None = None
-    all_steps: bool = False
-    filter_eps: str | None = None
+    __slots__ = ("r", "n", "t_cap", "budget", "format", "out", "k", "all_steps", "filter_eps")
 
-    def __post_init__(self):
-        if self.r < 1:
-            raise UsageError(f"--r must be >= 1, got {self.r}")
-        if self.n < 1:
-            raise UsageError(f"--n must be >= 1, got {self.n}")
-        if self.t_cap < 0:
-            raise UsageError(f"--t-cap must be >= 0, got {self.t_cap}")
-        if self.budget < 1:
-            raise UsageError(f"--budget must be >= 1, got {self.budget}")
-        if self.k is not None and self.k < 0:
-            raise UsageError(f"--k must be >= 0, got {self.k}")
+    def __init__(
+        self,
+        r: int,
+        n: int,
+        t_cap: int,
+        budget: int = DEFAULT_BUDGET,
+        format: str = "json",
+        out: str | None = None,
+        k: int | None = None,
+        all_steps: bool = False,
+        filter_eps: str | None = None,
+    ):
+        if r < 1:
+            raise UsageError(f"--r must be >= 1, got {r}")
+        if n < 1:
+            raise UsageError(f"--n must be >= 1, got {n}")
+        if t_cap < 0:
+            raise UsageError(f"--t-cap must be >= 0, got {t_cap}")
+        if budget < 1:
+            raise UsageError(f"--budget must be >= 1, got {budget}")
+        if k is not None and k < 0:
+            raise UsageError(f"--k must be >= 0, got {k}")
+        values = (r, n, t_cap, budget, format, out, k, all_steps, filter_eps)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> RunConfig:
@@ -153,6 +160,7 @@ def _emit(
     that no list of row tuples is held next to the output.  ``table`` builds
     no records and does not come here: :func:`cmd_table` writes each row in
     this layout from texts made once per descent set and per color choice.
+    Nor does ``figure`` in JSON, whose cells have one shape (:func:`cmd_figure`).
     """
     if config.format == "json":
         return _indented(records, "\n") + "\n"
@@ -299,12 +307,24 @@ def cmd_table(config: RunConfig) -> tuple[int, str]:
     return EXIT_PASS, "".join(parts)
 
 
+# A figure cell {"v": [v1, v2], "monomial": {"q": q, "u": u}} as _indented
+# lays it out inside the grid's list; every field is an int.
+_FIGURE_CELL = (
+    '{{\n    "v": [\n      {},\n      {}\n    ],\n'
+    '    "monomial": {{\n      "q": {},\n      "u": {}\n    }}\n  }}'
+)
+
+
 def cmd_figure(config: RunConfig) -> tuple[int, str]:
+    """The n = 2 grid of point weights; a JSON cell is one format of _FIGURE_CELL."""
     if config.n != 2:
         raise UsageError(f"figure grids are only defined for n = 2, got n={config.n}")
     check_grid_budget(config.r, config.n, config.k, config.budget)
     grid = figure_grid(config.r, config.k)
     rows = ((*cell["v"], cell["monomial"]["q"], cell["monomial"]["u"]) for cell in grid)
+    if config.format == "json":
+        cells = ",\n  ".join(itertools.starmap(_FIGURE_CELL.format, rows))
+        return EXIT_PASS, "[\n  " + cells + "\n]\n"
     return EXIT_PASS, _emit(config, grid, ("v1", "v2", "q", "u"), rows)
 
 

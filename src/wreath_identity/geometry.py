@@ -16,13 +16,13 @@ its lattice points.  :func:`cone_sum_by_enumeration` visits every point
 and is the oracle it is checked against: per height it builds one table of
 the coordinate weights m'(j, k), packed as the int q*span + u, and weighs
 each point of :func:`enumerate_slice` by summing its coordinates' entries,
-so it does not rely on distributivity.
+so it does not rely on distributivity.  :class:`CubeSliceSpec` is a
+:class:`~wreath_identity.wreath.Frozen` value.
 """
 
 from __future__ import annotations
 
 import collections
-import dataclasses
 import functools
 import itertools
 from collections.abc import Iterator, Sequence
@@ -33,6 +33,7 @@ from .wreath import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     EpsilonVector,
+    Frozen,
     ordinary_descent_set,
 )
 
@@ -77,16 +78,16 @@ def m(p: LatticePoint) -> Monomial:
     return Monomial(q_exp, p.k, u_exp)
 
 
-@dataclasses.dataclass(frozen=True)
-class CubeSliceSpec:
+class CubeSliceSpec(Frozen):
     """The height-k slice of the cone over the half-open cube of eps."""
 
-    eps: EpsilonVector
-    k: int
+    __slots__ = ("eps", "k")
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"height must be nonnegative, got {self.k}")
+    def __init__(self, eps: EpsilonVector, k: int):
+        if k < 0:
+            raise ValueError(f"height must be nonnegative, got {k}")
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "k", k)
 
 
 def slice_membership(p: LatticePoint, spec: CubeSliceSpec) -> bool:

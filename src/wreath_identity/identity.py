@@ -17,11 +17,14 @@ pipeline, from inner constructions outward:
 * and the full identity equates the height-slice sum with the joint
   (maj, des, col) distribution over the whole group
   (:func:`verify_theorem`).
+
+:class:`Partition` and :class:`VerificationReport` are
+:class:`~wreath_identity.wreath.Frozen` values; a report's ``to_dict``
+returns fresh containers, so the caller may change them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import time
 from collections.abc import Sequence
@@ -38,6 +41,7 @@ from .wreath import (
     _descent_masks,
     ColoredPermutation,
     EpsilonVector,
+    Frozen,
     bz_sort_key,
     color_classes,
     colored_window,
@@ -53,14 +57,13 @@ from .geometry import cone_sum, cone_sum_by_enumeration, find_simplex
 Composition = tuple[int, ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A weakly decreasing tuple of nonnegative parts (zeros allowed)."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts: Sequence[int]):
+        object.__setattr__(self, "parts", tuple(parts))
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"parts {self.parts} are not weakly decreasing")
         if self.parts and self.parts[-1] < 0:
@@ -70,28 +73,45 @@ class Partition:
         return sum(self.parts)
 
 
-@dataclasses.dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Outcome of one exhaustive check; failures carry a counterexample."""
 
-    claim: str
-    params: dict
-    status: str
-    counterexample: dict | None
-    elapsed_ms: float
+    __slots__ = ("claim", "params", "status", "counterexample", "elapsed_ms")
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"status must be pass or fail, got {self.status!r}")
-        if self.status == "fail" and self.counterexample is None:
+    def __init__(
+        self,
+        claim: str,
+        params: dict,
+        status: str,
+        counterexample: dict | None,
+        elapsed_ms: float,
+    ):
+        if status not in ("pass", "fail"):
+            raise ValueError(f"status must be pass or fail, got {status!r}")
+        if status == "fail" and counterexample is None:
             raise ValueError("a failing report must carry a counterexample")
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "elapsed_ms", elapsed_ms)
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields in order, each dict, list and tuple in them copied."""
+        return dict(zip(self.__slots__, map(_copied, self._values())))
+
+
+def _copied(value):
+    """value with every dict, list and tuple in it rebuilt."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    if type(value) in (list, tuple):
+        return type(value)(map(_copied, value))
+    return value
 
 
 def report_from_comparison(

@@ -42,7 +42,7 @@ import array
 import functools
 import itertools
 from collections.abc import Iterable, Mapping
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 INT64_MIN = -(2**63)
@@ -484,20 +484,33 @@ def u_integer(n: int, cap: int) -> TruncatedPoly:
 def expand_denominator(n: int, cap: int) -> TruncatedPoly:
     """Power-series expansion of prod_{j=0}^{n} 1/(1 - q^j t) up to t^cap.
 
-    Each factor expands to the geometric series sum_m q^(jm) t^m, and the
-    product is taken with ordinary truncated multiplication.  The result is
-    immutable, so it is built once per (n, cap) and shared.
+    The t^m slice is the Gaussian binomial [n+m choose m]_q.  It is built
+    from the slice before it as c_m = c_(m-1) (1 - q^(n+m)) / (1 - q^m), on a
+    plain list of q-coefficients: one shifted subtraction, then the exact
+    division as a running sum with stride m.  The coefficients of a Gaussian
+    binomial are positive, so each slice is range-checked once, through its
+    greatest, and the expansion is refused exactly when a coefficient of
+    the result leaves int64.  The result is immutable, so it is built once
+    per (n, cap) and shared.
 
     >>> expand_denominator(1, 2)
     <TruncatedPoly cap=2: 1 + t + q*t + t^2 + q*t^2 + q^2*t^2>
     """
     if n < 1:
         raise ValueError(f"need a positive number of variables, got n={n}")
-    result = TruncatedPoly.one(cap)
-    for j in range(n + 1):
-        geometric = TruncatedPoly(cap, {Monomial(j * m, m, 0): 1 for m in range(cap + 1)})
-        result = result * geometric
-    return result
+    terms = {Monomial(0, 0, 0): 1}
+    coeffs = [1]
+    for m in range(1, cap + 1):
+        shift = n + m
+        coeffs = coeffs + [0] * shift
+        coeffs[shift:] = map(sub, coeffs[shift:], coeffs)
+        for at in range(m, len(coeffs), m):
+            coeffs[at : at + m] = map(add, coeffs[at : at + m], coeffs[at - m : at])
+        del coeffs[n * m + 1 :]
+        _checked(max(coeffs))
+        keys = zip(range(len(coeffs)), itertools.repeat(m), itertools.repeat(0))
+        terms.update(zip(map(tuple.__new__, itertools.repeat(Monomial), keys), coeffs))
+    return TruncatedPoly._trusted(cap, terms)
 
 
 def lhs_term(r: int, n: int, k: int, cap: int) -> TruncatedPoly:

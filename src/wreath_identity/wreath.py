@@ -17,12 +17,17 @@ Two color-indexing conventions coexist and must not be conflated:
 point is :func:`colored_window` / :func:`g_epsilon`, which perform the
 reindexing color_i = eps[pi(i)] explicitly; :func:`g_epsilon_gf` needs no
 reindexing, because it permutes each letter's key together with its color.
+
+Both are :class:`Frozen` values: immutable ``__slots__`` classes with
+dataclass-style ``==``, ``hash`` and ``repr``.  The package's other value
+types (``CubeSliceSpec``, ``Partition``, ``VerificationReport`` and the
+CLI's ``RunConfig``) derive from it too, so importing the package loads
+neither ``dataclasses`` nor the ``inspect`` it imports.
 """
 
 from __future__ import annotations
 
 import collections
-import dataclasses
 import itertools
 import math
 import operator
@@ -36,6 +41,47 @@ DEFAULT_BUDGET = 10_000_000
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured object budget."""
+
+
+class Frozen:
+    """Base of the package's immutable value types; its fields are ``__slots__``.
+
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    sets them with ``object.__setattr__`` in ``__init__``, after validating.
+    Equality holds only between instances of one class with equal fields,
+    the hash is that of the field tuple, and the repr is the
+    ``Class(field=value, ...)`` text of a dataclass.
+
+    >>> EpsilonVector((1, 0)) == EpsilonVector([1, 0]), EpsilonVector((1, 0))
+    (True, EpsilonVector(colors=(1, 0)))
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        # Copies and pickles go through the validating constructor.
+        return type(self), self._values()
 
 
 def bz_sort_key(value: int, color: int) -> int:
@@ -58,16 +104,14 @@ def bz_sort_key(value: int, color: int) -> int:
 _TOKEN = re.compile(r"^(\d+)\^(\d+)$")
 
 
-@dataclasses.dataclass(frozen=True)
-class ColoredPermutation:
+class ColoredPermutation(Frozen):
     """Window [pi(1)^c1 ... pi(n)^cn]; colors indexed by window position."""
 
-    pi: tuple[int, ...]
-    colors: tuple[int, ...]
+    __slots__ = ("pi", "colors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pi", tuple(self.pi))
-        object.__setattr__(self, "colors", tuple(self.colors))
+    def __init__(self, pi: Iterable[int], colors: Iterable[int]):
+        object.__setattr__(self, "pi", tuple(pi))
+        object.__setattr__(self, "colors", tuple(colors))
         n = len(self.pi)
         if sorted(self.pi) != list(range(1, n + 1)):
             raise ValueError(f"window values {self.pi} are not a permutation of 1..{n}")
@@ -148,14 +192,13 @@ def ordinary_descent_set(pi: Sequence[int]) -> set[int]:
     return {i for i in range(1, len(pi)) if pi[i - 1] > pi[i]}
 
 
-@dataclasses.dataclass(frozen=True)
-class EpsilonVector:
+class EpsilonVector(Frozen):
     """A color vector indexed by letter: colors[i-1] is the color of letter i."""
 
-    colors: tuple[int, ...]
+    __slots__ = ("colors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
+    def __init__(self, colors: Iterable[int]):
+        object.__setattr__(self, "colors", tuple(colors))
         if any(c < 0 for c in self.colors):
             raise ValueError(f"negative color in {self.colors}")
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from wreath_identity import cli, identity, poly
 from wreath_identity.cli import main
+from wreath_identity.geometry import figure_grid
 from wreath_identity.poly import expand_denominator
 from wreath_identity.wreath import (
     ColoredPermutation,
@@ -467,6 +468,13 @@ def test_figure_r1_grid_is_pure_q(capsys):
         assert cell["monomial"]["q"] == sum(cell["v"])
 
 
+@pytest.mark.parametrize("r,k", [(1, 0), (3, 0), (1, 1), (2, 1), (2, 3), (3, 2), (4, 5)])
+def test_figure_json_matches_json_dumps(capsys, r, k):
+    code, out, _ = run_cli(capsys, "figure", "--r", str(r), "--n", "2", "--k", str(k))
+    assert code == 0
+    assert out == json.dumps(figure_grid(r, k), indent=2) + "\n"
+
+
 def test_figure_tsv(capsys):
     code, out, _ = run_cli(
         capsys, "figure", "--r", "2", "--n", "2", "--k", "1", "--format", "tsv"
@@ -584,6 +592,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[1]["window"] == "[1^1]"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Every command is a fresh process; importing dataclasses would also load
+    # inspect, ast, dis and tokenize.  -S keeps site-packages hooks out.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import wreath_identity.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_traced_child_reproduces_untraced_stdout(capsys):

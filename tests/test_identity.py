@@ -199,6 +199,8 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
+        Partition([0, 1])  # any sequence, as the parts tuple is built from it
+    with pytest.raises(ValueError):
         Partition((2, -1))
 
 

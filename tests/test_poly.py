@@ -185,6 +185,41 @@ def test_expand_denominator_t1_slice():
     assert series.t_slice(1) == expected
 
 
+def denominator_by_products(n, cap):
+    """prod_{j=0}^n 1/(1 - q^j t) as the product of n+1 geometric series: the oracle."""
+    result = TruncatedPoly.one(cap)
+    for j in range(n + 1):
+        result = result * TruncatedPoly(cap, {Monomial(j * m, m, 0): 1 for m in range(cap + 1)})
+    return result
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_expand_denominator_matches_geometric_products(n):
+    for cap in range(31):
+        assert expand_denominator(n, cap) == denominator_by_products(n, cap), cap
+
+
+@pytest.mark.parametrize("largest", [5, 400, 20_000])
+def test_expand_denominator_refuses_where_the_products_do(monkeypatch, largest):
+    # Each partial product of the oracle has coefficients no larger than the
+    # result's, so both refuse exactly where a result coefficient leaves the
+    # range.  __wrapped__ bypasses the cache of full-range results.
+    monkeypatch.setattr(poly, "INT64_MAX", largest)
+    refusals = 0
+    for n in range(1, 8):
+        for cap in range(0, 31, 3):
+            try:
+                expected = denominator_by_products(n, cap)
+            except CoefficientOverflowError:
+                refusals += 1
+                with pytest.raises(CoefficientOverflowError):
+                    expand_denominator.__wrapped__(n, cap)
+            else:
+                assert max(expected.terms.values()) <= largest
+                assert expand_denominator.__wrapped__(n, cap) == expected
+    assert 0 < refusals < 7 * 11
+
+
 @pytest.mark.parametrize("n,cap", [(1, 4), (2, 4), (3, 5), (4, 6)])
 def test_expand_denominator_inverts_the_product(n, cap):
     series = expand_denominator(n, cap)

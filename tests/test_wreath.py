@@ -1,4 +1,7 @@
+import copy
 import itertools
+import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -24,6 +27,10 @@ from wreath_identity.wreath import (
     ordinary_descent_set,
     _window_tally,
 )
+
+from wreath_identity.cli import RunConfig, UsageError
+from wreath_identity.geometry import CubeSliceSpec
+from wreath_identity.identity import Partition, VerificationReport
 
 from golden import DES_101, DES_110, tuple_order_descents
 
@@ -348,3 +355,118 @@ def test_numerator_r1_is_euler_mahonian(n):
 def test_numerator_matches_enumeration_oracle(r, n):
     cap = n + 3
     assert numerator(r, n, cap) == numerator_by_enumeration(r, n, cap)
+
+
+# -- value types -------------------------------------------------------------------
+
+# Per value type: its field names in constructor order, a factory of equal
+# but distinct instances, the repr, and invalid arguments with their error.
+VALUE_TYPES = [
+    (
+        ("pi", "colors"),
+        lambda: ColoredPermutation([2, 1], [1, 0]),
+        "ColoredPermutation(pi=(2, 1), colors=(1, 0))",
+        lambda: ColoredPermutation((1, 1), (0, 0)),
+        ValueError,
+        "window values (1, 1) are not a permutation of 1..2",
+    ),
+    (
+        ("colors",),
+        lambda: EpsilonVector([1, 0, 2]),
+        "EpsilonVector(colors=(1, 0, 2))",
+        lambda: EpsilonVector((0, -1)),
+        ValueError,
+        "negative color in (0, -1)",
+    ),
+    (
+        ("eps", "k"),
+        lambda: CubeSliceSpec(EpsilonVector((1, 0)), 3),
+        "CubeSliceSpec(eps=EpsilonVector(colors=(1, 0)), k=3)",
+        lambda: CubeSliceSpec(EpsilonVector((1, 0)), -1),
+        ValueError,
+        "height must be nonnegative, got -1",
+    ),
+    (
+        ("parts",),
+        lambda: Partition([3, 1, 0]),
+        "Partition(parts=(3, 1, 0))",
+        lambda: Partition((1, 2)),
+        ValueError,
+        "parts (1, 2) are not weakly decreasing",
+    ),
+    (
+        ("claim", "params", "status", "counterexample", "elapsed_ms"),
+        lambda: VerificationReport("theorem", {"r": 2}, "fail", {"lhs": [1, (2, 3)]}, 1.5),
+        "VerificationReport(claim='theorem', params={'r': 2}, status='fail', "
+        "counterexample={'lhs': [1, (2, 3)]}, elapsed_ms=1.5)",
+        lambda: VerificationReport("theorem", {}, "maybe", None, 0.0),
+        ValueError,
+        "status must be pass or fail, got 'maybe'",
+    ),
+    (
+        ("r", "n", "t_cap", "budget", "format", "out", "k", "all_steps", "filter_eps"),
+        lambda: RunConfig(2, 3, 6, k=1),
+        "RunConfig(r=2, n=3, t_cap=6, budget=10000000, format='json', out=None, k=1, "
+        "all_steps=False, filter_eps=None)",
+        lambda: RunConfig(2, 3, 6, budget=0),
+        UsageError,
+        "--budget must be >= 1, got 0",
+    ),
+]
+VALUE_IDS = [text.partition("(")[0] for _, _, text, *_ in VALUE_TYPES]
+
+
+@pytest.mark.parametrize("fields,make,text,bad,error,message", VALUE_TYPES, ids=VALUE_IDS)
+def test_value_type_contract(fields, make, text, bad, error, message):
+    a, b = make(), make()
+    values = tuple(getattr(a, name) for name in fields)
+    assert a == b and not a != b and a is not b
+    assert repr(a) == text
+    # The keyword constructor takes the same fields.
+    assert type(a)(**dict(zip(fields, values))) == a
+    # The hash is that of the field tuple; a report's dicts make both unhashable.
+    try:
+        expected = hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == expected
+    # Equal only to an instance of the same class, never to its field tuple.
+    assert a != values
+    for _, other_make, *_ in VALUE_TYPES:
+        other = other_make()
+        assert (a == other) == (type(other) is type(a))
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        delattr(a, fields[0])
+    assert a == b
+    assert copy.copy(a) == copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(error, match=re.escape(message)):
+        bad()
+
+
+def test_equal_fields_of_another_class_are_not_equal():
+    assert EpsilonVector((1, 0)) != Partition((1, 0))
+    assert Partition((1, 0)) != EpsilonVector((1, 0))
+    assert len({EpsilonVector((1, 0)), Partition((1, 0))}) == 2
+
+
+def test_report_to_dict_is_ordered_and_detached():
+    report = VALUE_TYPES[4][1]()
+    data = report.to_dict()
+    assert list(data) == ["claim", "params", "status", "counterexample", "elapsed_ms"]
+    assert data == {
+        "claim": "theorem",
+        "params": {"r": 2},
+        "status": "fail",
+        "counterexample": {"lhs": [1, (2, 3)]},
+        "elapsed_ms": 1.5,
+    }
+    data["params"]["r"] = 3
+    data["counterexample"]["lhs"].append(4)
+    assert report.params == {"r": 2}
+    assert report.counterexample == {"lhs": [1, (2, 3)]}
+    assert report.to_dict()["counterexample"] is not report.counterexample
