@@ -8,15 +8,18 @@ is implemented and checked exhaustively; where a step is computed from a
 factorisation instead (the group side in :func:`numerator`, the cube side
 in :func:`cone_sum`), the brute-force enumeration is kept as its oracle,
 and the term-pair product :func:`mul_by_terms` is the oracle of the
-packed polynomial multiply.
+packed polynomial multiply and of the theorem's packed comparison
+:func:`compare_product`.
 """
 
 from .poly import (
     CoefficientOverflowError,
     Monomial,
     TruncatedPoly,
+    compare_product,
     expand_denominator,
     first_difference,
+    lhs_base,
     lhs_term,
     mul_by_terms,
     q_integer,

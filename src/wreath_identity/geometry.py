@@ -26,7 +26,6 @@ import collections
 import functools
 import itertools
 from collections.abc import Iterator, Sequence
-from typing import NamedTuple
 
 from .poly import Monomial, TruncatedPoly
 from .wreath import (
@@ -38,11 +37,10 @@ from .wreath import (
 )
 
 
-class LatticePoint(NamedTuple):
-    """A lattice point (v, k) on the height-k slice of the cone."""
+class LatticePoint(collections.namedtuple("LatticePoint", "v k")):
+    """A lattice point (v, k) on the height-k slice of the cone: v a tuple of ints, k an int."""
 
-    v: tuple[int, ...]
-    k: int
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=None)

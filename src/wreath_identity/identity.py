@@ -31,9 +31,10 @@ from collections.abc import Sequence
 
 from .poly import (
     TruncatedPoly,
+    compare_product,
     expand_denominator,
     first_difference,
-    lhs_term,
+    lhs_base,
     q_integer,
 )
 from .wreath import (
@@ -439,9 +440,12 @@ def verify_theorem(
     Right side: the joint (maj, des, col) distribution over the whole group,
     assembled by :func:`numerator` from the few-colors pieces
     G_(1^l, 0^(n-l)), times the expanded denominator, truncated at the same
-    cap.  The right side is built first, so parameters whose group order
-    r^n * n! exceeds the budget raise BudgetExceededError before any
-    left-side work.
+    cap.  The right side's factors are built first, so parameters whose
+    group order r^n * n! exceeds the budget raise BudgetExceededError before
+    any left-side work.  :func:`compare_product` compares the two sides as
+    packed t-slices, the product's slice sums against one power of
+    :func:`lhs_base` per height, and decodes them into polynomials only on
+    a mismatch, for the counterexample.
     """
     if r < 1 or n < 1:
         raise ValueError(f"r and n must be positive, got r={r}, n={n}")
@@ -449,11 +453,13 @@ def verify_theorem(
         cap = n + 3
     started = time.perf_counter()
     params = {"r": r, "n": n, "t_cap": cap}
-    rhs = numerator(r, n, cap, budget) * expand_denominator(n, cap)
-    # Height k lies on t-degree k alone, so the heights' term maps are
-    # disjoint: merge them into one map, copying each height once.
-    lhs_terms: dict = {}
-    for k in range(cap + 1):
-        lhs_terms.update(lhs_term(r, n, k, cap)._terms)
-    lhs = TruncatedPoly._trusted(cap, lhs_terms)
+    sides = compare_product(
+        numerator(r, n, cap, budget),
+        expand_denominator(n, cap),
+        [lhs_base(r, k, cap) for k in range(cap + 1)],
+        n,
+    )
+    if sides is None:
+        return _finish("theorem", params, None, started)
+    rhs, lhs = sides
     return report_from_comparison("theorem", params, lhs, rhs, started)

@@ -28,22 +28,31 @@ t-degrees, or of zero, is the chain of products 1 * a * ... * a.  A sum of
 polynomials with disjoint supports is the union of their term maps.
 ``mul_by_terms`` keeps the term-pair loop as the oracle.
 
+The theorem's two sides, a * b and sum_k base_k^e t^k, are compared by
+``compare_product`` without decoding either.  Both are packed on one slot
+layout, wide enough for the product's bound and every power's, so each
+t-slice of each side is one int: the product's slice sum and one big-int
+power.  Equal slices are then equal ints.  Every slice is range-checked
+through its least and greatest word, and the sides are decoded into
+monomials only when a slice differs, for the counterexample.
+
 Coefficients are integers kept inside the signed 64-bit range; an operation
 whose result would leave that range raises CoefficientOverflowError instead
 of wrapping or growing silently.  Results are exact before this check, so a
-product, a sum and a power on one t-degree are refused exactly when one of
-their coefficients leaves the range.  Only the chain for a power on several
-t-degrees can also be refused on an intermediate product.
+product, a sum, a power on one t-degree and a comparison are refused
+exactly when one of their coefficients leaves the range.  Only the chain
+for a power on several t-degrees can also be refused on an intermediate
+product.
 """
 
 from __future__ import annotations
 
 import array
+import collections
 import functools
 import itertools
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from operator import add, itemgetter, mul, sub
-from typing import NamedTuple
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -53,12 +62,10 @@ class CoefficientOverflowError(OverflowError):
     """A coefficient left the signed 64-bit range."""
 
 
-class Monomial(NamedTuple):
+class Monomial(collections.namedtuple("Monomial", "q t u")):
     """Exponent triple q^q * t^t * u^u."""
 
-    q: int
-    t: int
-    u: int
+    __slots__ = ()
 
     def key(self) -> tuple[int, int, int]:
         """Canonical sort key: lexicographic by (t, q, u)."""
@@ -342,14 +349,11 @@ def _pack(
     return packed
 
 
-def _unpack(
-    value: int, t: int, slots: int, span: int, width: int, code: str | None
-) -> Iterable[tuple[Monomial, int]]:
-    """The nonzero terms of a packed t-slice, read back at t-exponent t.
+def _words(value: int, slots: int, width: int, code: str | None):
+    """The words bias + c of a packed t-slice, range-checked through the least and greatest.
 
-    Adding the bias int turns every signed slot into a plain digit.  The
-    slice's words are range-checked once, through their least and greatest
-    values, and only the words that differ from the bias are decoded.
+    Adding the bias int turns every signed slot into a plain digit, and the
+    slice's words are checked once, through their least and greatest values.
     """
     bias = 1 << (8 * width - 1)
     digits = (value + _bias_int(bias, width, slots)).to_bytes(slots * width, "little")
@@ -364,6 +368,19 @@ def _unpack(
             words.byteswap()
     _checked(min(words) - bias)
     _checked(max(words) - bias)
+    return words
+
+
+def _unpack(
+    value: int, t: int, slots: int, span: int, width: int, code: str | None
+) -> Iterable[tuple[Monomial, int]]:
+    """The nonzero terms of a packed t-slice, read back at t-exponent t.
+
+    The slice's words are range-checked by ``_words``, and only the words
+    that differ from the bias are decoded.
+    """
+    bias = 1 << (8 * width - 1)
+    words = _words(value, slots, width, code)
     live = list(map(bias.__ne__, words))
     at = list(itertools.compress(range(slots), live))
     keys = zip(map(span.__rfloordiv__, at), itertools.repeat(t), map(span.__rmod__, at))
@@ -373,6 +390,70 @@ def _unpack(
     )
 
 
+def _decode(
+    slices: dict[int, tuple[int, int]], span: int, width: int, code: str | None
+) -> dict[Monomial, int]:
+    """The canonical terms of packed t-slices, each given as (packed int, largest q-exponent)."""
+    out: dict[Monomial, int] = {}
+    for t, (value, top_q) in slices.items():
+        out.update(_unpack(value, t, (top_q + 1) * span, span, width, code))
+    return out
+
+
+def _max_u(a: dict[Monomial, int]) -> int:
+    """The largest u-exponent of a, 0 for the zero polynomial."""
+    return max(map(_U, a), default=0)
+
+
+def _product_bound(a: dict[Monomial, int], b: dict[Monomial, int]) -> int:
+    """min(||a||_1 ||b||_inf, ||a||_inf ||b||_1): no coefficient of a * b exceeds it."""
+    a_abs, b_abs = list(map(abs, a.values())), list(map(abs, b.values()))
+    return min(sum(a_abs) * max(b_abs, default=0), max(a_abs, default=0) * sum(b_abs))
+
+
+def _power_bound(a: dict[Monomial, int], e: int) -> int:
+    """||a||_1^(e-1) ||a||_inf, for e >= 1: no coefficient of a ** e exceeds it."""
+    a_abs = list(map(abs, a.values()))
+    return sum(a_abs) ** (e - 1) * max(a_abs, default=0)
+
+
+def _packed_product(
+    a: dict[Monomial, int],
+    b: dict[Monomial, int],
+    cap: int,
+    span: int,
+    width: int,
+    code: str | None,
+) -> dict[int, tuple[int, int]]:
+    """Each t-slice t <= cap of a * b as (packed int, largest q-exponent).
+
+    One big-int product per pair of t-slices, summed per t.  The slots must
+    hold every coefficient of the product, and span must exceed every
+    u-degree of it.  A bound on the product of nonzero integer operands also
+    bounds their own coefficients, and a zero operand packs nothing.
+    """
+    if not a or not b:
+        return {}
+    a_slices = _pack(a, span, width, code)
+    b_slices = _pack(b, span, width, code)
+    out: dict[int, tuple[int, int]] = {}
+    for t1, (x, qa) in a_slices.items():
+        for t2, (y, qb) in b_slices.items():
+            t = t1 + t2
+            if t <= cap:
+                value, top_q = out.get(t, (0, 0))
+                out[t] = (value + x * y, max(top_q, qa + qb))
+    return out
+
+
+def _packed_power(
+    a: dict[Monomial, int], e: int, span: int, width: int, code: str | None
+) -> tuple[int, int]:
+    """a ** e, for nonzero a on one t-degree, as (packed int, largest q-exponent)."""
+    ((x, top_q),) = _pack(a, span, width, code).values()
+    return x**e, e * top_q
+
+
 def _kronecker_product(
     a: dict[Monomial, int], b: dict[Monomial, int], cap: int
 ) -> dict[Monomial, int]:
@@ -380,10 +461,9 @@ def _kronecker_product(
 
     A single-term operand c0 * m0 shifts the other operand's terms by m0
     and scales them by c0, and the scaled coefficients are range-checked
-    once, through the least and the greatest.  Otherwise no product
-    coefficient exceeds min(||a||_1 ||b||_inf, ||a||_inf ||b||_1) in
-    absolute value, so slots of the width ``_slot_width`` gives that bound
-    hold each one exactly.
+    once, through the least and the greatest.  Otherwise the product is
+    packed and multiplied by ``_packed_product``, in slots of the width
+    ``_slot_width`` gives ``_product_bound``, and decoded.
     """
     if not a or not b:
         return {}
@@ -402,44 +482,84 @@ def _kronecker_product(
         qs, ts, us = zip(*mons)
         keys = zip(map(dq.__add__, qs), map(dt.__add__, ts), map(du.__add__, us))
         return dict(zip(map(tuple.__new__, itertools.repeat(Monomial), keys), scaled))
-    bound = min(
-        sum(map(abs, a.values())) * max(map(abs, b.values())),
-        max(map(abs, a.values())) * sum(map(abs, b.values())),
-    )
-    width, code = _slot_width(bound)
-    span = max(map(_U, a)) + max(map(_U, b)) + 1
-    a_slices = _pack(a, span, width, code)
-    b_slices = _pack(b, span, width, code)
-    sums: dict[int, int] = {}
-    top_q: dict[int, int] = {}
-    for t1, (x, qa) in a_slices.items():
-        for t2, (y, qb) in b_slices.items():
-            t = t1 + t2
-            if t <= cap:
-                sums[t] = sums.get(t, 0) + x * y
-                top_q[t] = max(top_q.get(t, 0), qa + qb)
-    out: dict[Monomial, int] = {}
-    for t, value in sums.items():
-        out.update(_unpack(value, t, (top_q[t] + 1) * span, span, width, code))
-    return out
+    width, code = _slot_width(_product_bound(a, b))
+    span = _max_u(a) + _max_u(b) + 1
+    return _decode(_packed_product(a, b, cap, span, width, code), span, width, code)
 
 
 def _slice_power(a: dict[Monomial, int], e: int, t: int, cap: int) -> dict[Monomial, int]:
     """The canonical terms of a ** e, for nonzero a on one t-degree, at t-exponent t.
 
-    One pack, one big-int power and one readback: no coefficient of a ** e
-    exceeds ||a||_1^(e-1) ||a||_inf in absolute value, so slots of that
-    bound's width hold each one exactly, at any width.  Every coefficient
+    One pack, one big-int power and one readback, in slots of the width
+    ``_slot_width`` gives ``_power_bound``, at any width.  Every coefficient
     is range-checked on readback, so the power is refused exactly when one
     of them leaves the signed 64-bit range.
     """
     if t > cap:
         return {}
-    bound = sum(map(abs, a.values())) ** (e - 1) * max(map(abs, a.values()))
+    width, code = _slot_width(_power_bound(a, e))
+    span = e * _max_u(a) + 1
+    value, top_q = _packed_power(a, e, span, width, code)
+    return _decode({t: (value, top_q)}, span, width, code)
+
+
+def _nonzero(slices: dict[int, tuple[int, int]]) -> dict[int, int]:
+    """The packed ints of the nonzero slices, by t-degree."""
+    return {t: value for t, (value, _) in slices.items() if value}
+
+
+def compare_product(
+    a: TruncatedPoly, b: TruncatedPoly, bases: Sequence[TruncatedPoly], e: int
+) -> tuple[TruncatedPoly, TruncatedPoly] | None:
+    """Compare a * b with sum_k bases[k]**e t^k as packed t-slices, decoding only on a mismatch.
+
+    Each base is a polynomial on t-degree 0, and there are at most
+    t_cap + 1 of them.  Both sides are packed on one slot layout: the span
+    exceeds every u-degree of either side, and the slots hold both
+    ``_product_bound(a, b)`` and every ``_power_bound(base, e)``.  A slice
+    of a * b is the product sum ``_packed_product`` builds, a slice of the
+    other side one big-int power; every slice of both sides is range-checked
+    through its least and greatest word, those of a * b first, so an
+    overflow is refused exactly as ``a * b`` and then the powers one by one
+    would refuse it.  Equal layouts make equal slices equal ints.  Returns
+    None when every slice agrees, and otherwise both sides decoded, as
+    (a * b, sum_k bases[k]**e t^k).
+
+    >>> bases = [q_integer(k + 1, 2) for k in range(3)]   # 1/((1 - t)(1 - q t))
+    >>> compare_product(TruncatedPoly.one(2), expand_denominator(1, 2), bases, 1) is None
+    True
+    >>> compare_product(TruncatedPoly.one(2), expand_denominator(1, 2), bases[:2], 1)[1]
+    <TruncatedPoly cap=2: 1 + t + q*t>
+    """
+    b = a._coerce(b)
+    cap = a.t_cap
+    if e < 1:
+        raise ValueError(f"exponent must be positive, got {e}")
+    if len(bases) > cap + 1:
+        raise ValueError(f"{len(bases)} bases exceed t_cap {cap}")
+    powers = [base._terms for base in bases]
+    if any(any(map(_T, terms)) for terms in powers):
+        raise ValueError("every base must lie on t-degree 0")
+    a, b = a._terms, b._terms
+    bound = max([_product_bound(a, b)] + [_power_bound(terms, e) for terms in powers])
     width, code = _slot_width(bound)
-    span = e * max(map(_U, a)) + 1
-    ((x, top_q),) = _pack(a, span, width, code).values()
-    return dict(_unpack(x**e, t, (e * top_q + 1) * span, span, width, code))
+    span = max([_max_u(a) + _max_u(b)] + [e * _max_u(terms) for terms in powers]) + 1
+
+    def checked(slices: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
+        for value, top_q in slices.values():
+            _words(value, (top_q + 1) * span, width, code)
+        return slices
+
+    product = checked(_packed_product(a, b, cap, span, width, code))
+    power_sum = checked(
+        {k: _packed_power(terms, e, span, width, code) for k, terms in enumerate(powers) if terms}
+    )
+    if _nonzero(product) == _nonzero(power_sum):
+        return None
+    return (
+        TruncatedPoly._trusted(cap, _decode(product, span, width, code)),
+        TruncatedPoly._trusted(cap, _decode(power_sum, span, width, code)),
+    )
 
 
 def mul_by_terms(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
@@ -513,19 +633,33 @@ def expand_denominator(n: int, cap: int) -> TruncatedPoly:
     return TruncatedPoly._trusted(cap, terms)
 
 
+def lhs_base(r: int, k: int, cap: int) -> TruncatedPoly:
+    """The base [k+1]_q + u [r-1]_u [k]_q of the height-k summand, on t-degree 0.
+
+    It has the term q^j u^i, with coefficient 1, for i = 0 and j <= k and
+    for 0 < i < r and j < k.
+
+    >>> lhs_base(2, 1, 1)
+    <TruncatedPoly cap=1: 1 + u + q>
+    """
+    if r < 1 or k < 0:
+        raise ValueError(f"need r >= 1 and k >= 0, got r={r}, k={k}")
+    return TruncatedPoly._trusted(
+        cap, {Monomial(j, 0, i): 1 for i in range(r) for j in range(k + (i == 0))}
+    )
+
+
 def lhs_term(r: int, n: int, k: int, cap: int) -> TruncatedPoly:
     """The height-k summand ([k+1]_q + u [r-1]_u [k]_q)^n * t^k.
 
-    The base has the term q^j u^i, with coefficient 1, for i = 0 and j <= k
-    and for 0 < i < r and j < k.  It lies on t-degree 0, so its n-th power
-    is one power on one t-degree, read back directly at t^k with no shift.
+    The base ``lhs_base`` lies on t-degree 0, so its n-th power is one power
+    on one t-degree, read back directly at t^k with no shift.
     """
     if r < 1 or n < 1:
         raise ValueError(f"r and n must be positive, got r={r}, n={n}")
     if k < 0 or k > cap:
         raise ValueError(f"k must lie in [0, cap], got k={k}, cap={cap}")
-    base = {Monomial(j, 0, i): 1 for i in range(r) for j in range(k + (i == 0))}
-    return TruncatedPoly._trusted(cap, _slice_power(base, n, k, cap))
+    return TruncatedPoly._trusted(cap, _slice_power(lhs_base(r, k, cap)._terms, n, k, cap))
 
 
 def first_difference(a: TruncatedPoly, b: TruncatedPoly) -> tuple[Monomial, int, int] | None:

@@ -596,10 +596,11 @@ def test_module_entry_point():
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # Every command is a fresh process; importing dataclasses would also load
-    # inspect, ast, dis and tokenize.  -S keeps site-packages hooks out.
+    # inspect, ast, dis and tokenize, and typing costs a few ms on its own.
+    # -S keeps site-packages hooks out.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import wreath_identity.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, str(ROOT / "src")],

@@ -5,11 +5,13 @@ import time
 
 import pytest
 
-from wreath_identity import identity, wreath
+from wreath_identity import identity, poly, wreath
 from wreath_identity.poly import (
+    CoefficientOverflowError,
     Monomial,
     TruncatedPoly,
     expand_denominator,
+    first_difference,
     lhs_term,
     q_integer,
 )
@@ -409,12 +411,110 @@ def test_theorem_rejects_bad_parameters():
 
 
 def test_theorem_refuses_before_building_the_lhs(monkeypatch):
-    def lhs_term(*args):
+    def lhs_base(*args):
         raise AssertionError("the left side was built before the budget check")
 
-    monkeypatch.setattr(identity, "lhs_term", lhs_term)
+    monkeypatch.setattr(identity, "lhs_base", lhs_base)
     with pytest.raises(BudgetExceededError):
         verify_theorem(3, 7)  # 3^7 * 7! = 11022480 elements > 10^7
+
+
+def changed_numerator(at, delta):
+    """numerator with delta added to the coefficient of the monomial at = (q, t, u)."""
+    q, t, u = at
+
+    def changed(r, n, cap=None, budget=wreath.DEFAULT_BUDGET):
+        true = numerator(r, n, cap, budget)
+        return true + TruncatedPoly.term(true.t_cap, delta, q=q, t=t, u=u)
+
+    return changed
+
+
+def theorem_by_decoded_sides(r, n, cap):
+    """The theorem's outcome by decoded polynomials: the oracle of verify_theorem.
+
+    The right side is identity.numerator times the denominator, and then
+    each height of the left side is built by lhs_term: a coefficient
+    outside int64 gives ("overflow", message), and otherwise the outcome is
+    ("report", first difference or None).
+    """
+    try:
+        rhs = identity.numerator(r, n, cap) * expand_denominator(n, cap)
+        lhs = TruncatedPoly.zero(cap)
+        for k in range(cap + 1):
+            lhs = lhs + lhs_term(r, n, k, cap)
+    except CoefficientOverflowError as error:
+        return "overflow", str(error)
+    return "report", first_difference(lhs, rhs)
+
+
+def theorem_outcome(r, n, cap):
+    try:
+        report = verify_theorem(r, n, cap)
+    except CoefficientOverflowError as error:
+        return "overflow", str(error)
+    example = report.counterexample
+    if example is None:
+        return "report", None
+    return "report", (Monomial(**example["monomial"]), example["lhs"], example["rhs"])
+
+
+@pytest.mark.parametrize("r,n", [(1, 3), (2, 3), (3, 2), (2, 1)])
+@pytest.mark.parametrize("height", ["zero", "middle", "cap"])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_theorem_fails_on_a_changed_numerator(monkeypatch, r, n, height, delta):
+    # At t = 0 the change hits the numerator's constant term 1 (with -1 it
+    # removes it); at the middle and at the cap it adds a term the true
+    # numerator lacks.  The denominator's t^0 slice is 1, so the first
+    # difference is the changed monomial itself.
+    cap = n + 3
+    t = {"zero": 0, "middle": cap // 2, "cap": cap}[height]
+    at = (t, t, min(t, r - 1))
+    monkeypatch.setattr(identity, "numerator", changed_numerator(at, delta))
+    report = verify_theorem(r, n)
+    assert report.status == "fail"
+    outcome, diff = theorem_by_decoded_sides(r, n, cap)
+    assert outcome == "report"
+    mon, c_lhs, c_rhs = diff
+    assert mon == Monomial(*at) and c_rhs - c_lhs == delta
+    assert report.counterexample == {
+        "monomial": {"q": mon.q, "t": mon.t, "u": mon.u},
+        "lhs": c_lhs,
+        "rhs": c_rhs,
+    }
+
+
+@pytest.mark.parametrize("r,n,cap", [(1, 3, 5), (2, 3, 6), (3, 2, 7), (2, 4, 3), (2, 1, 4)])
+@pytest.mark.parametrize("delta", [0, 1, -1])
+def test_theorem_overflows_where_the_decoded_sides_do(monkeypatch, r, n, cap, delta):
+    # delta changes the numerator at its largest coefficient, so the two
+    # sides' largest coefficients can differ; INT64_MAX is lowered to just
+    # below each side's largest coefficient (and those of the numerator and
+    # the denominator) and between the two sides'.
+    true = numerator(r, n, cap)
+    top, _ = max(true.terms.items(), key=lambda item: item[1])
+    monkeypatch.setattr(identity, "numerator", changed_numerator(top, delta))
+    _, diff = theorem_by_decoded_sides(r, n, cap)
+    lhs = TruncatedPoly.zero(cap)
+    for k in range(cap + 1):
+        lhs = lhs + lhs_term(r, n, k, cap)
+    rhs = identity.numerator(r, n, cap) * expand_denominator(n, cap)
+    assert (diff is None) == (delta == 0)
+    largest = [
+        max(side.terms.values())
+        for side in (lhs, rhs, identity.numerator(r, n, cap), expand_denominator(n, cap))
+    ]
+    limits = {c - 1 for c in largest} | {(largest[0] + largest[1]) // 2}
+    outcomes = set()
+    for limit in sorted(limits):
+        monkeypatch.setattr(poly, "INT64_MAX", limit)
+        expand_denominator.cache_clear()
+        expected = theorem_by_decoded_sides(r, n, cap)
+        expand_denominator.cache_clear()
+        assert theorem_outcome(r, n, cap) == expected, limit
+        outcomes.add(expected[0])
+    expand_denominator.cache_clear()
+    assert "overflow" in outcomes
 
 
 def test_numerator_regroups_by_color_vector():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wreath_identity import poly
@@ -12,8 +12,10 @@ from wreath_identity.poly import (
     Monomial,
     TruncatedPoly,
     _slot_width,
+    compare_product,
     expand_denominator,
     first_difference,
+    lhs_base,
     lhs_term,
     mul_by_terms,
     q_integer,
@@ -709,6 +711,124 @@ def test_lhs_term_with_a_bound_past_2_63_is_one_power(monkeypatch):
     monkeypatch.setattr(poly, "_kronecker_product", no_product)
     assert lhs_term(1, 16, 18, 18) == shifted
     assert q_integer(19, 18) ** 16 == power
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_lhs_base_is_the_summands_base(r):
+    cap = 5
+    colored = mul_by_terms(TruncatedPoly.term(cap, 1, u=1), u_integer(r - 1, cap))
+    for k in range(cap + 2):
+        expected = q_integer(k + 1, cap) + mul_by_terms(colored, q_integer(k, cap))
+        assert lhs_base(r, k, cap) == expected
+
+
+# -- the packed comparison against first_difference ----------------------------
+
+
+def t_free_slices(p):
+    """The t-slices of p, each moved to t-degree 0: p = sum_k slices[k] t^k."""
+    return [
+        TruncatedPoly(p.t_cap, {Monomial(m.q, 0, m.u): c for m, c in p.terms.items() if m.t == k})
+        for k in range(p.t_cap + 1)
+    ]
+
+
+def changed_terms(terms, at, cap, delta):
+    """terms with delta added at the monomial at = (q, t, u), its t clipped to the cap."""
+    q, t, u = at
+    mon = Monomial(q, min(t, cap), u)
+    out = dict(terms)
+    out[mon] = out.get(mon, 0) + delta
+    return out
+
+
+def assert_agrees(sides, product, other):
+    expected = first_difference(product, other)
+    if expected is None:
+        assert sides is None
+    else:
+        assert sides == (product, other)
+        assert first_difference(*sides) == expected
+
+
+# Products of two such coefficients lie near 2^62, so a bound ||a||_1 ||b||_inf
+# of two or more terms passes 2^63 and needs slots wider than 8 bytes.
+NEAR_2_31 = st.builds(
+    lambda sign, offset: sign * (2**31 - offset),
+    st.sampled_from([1, -1]),
+    st.integers(0, 2**20),
+)
+AT = st.tuples(st.integers(0, 12), st.integers(0, 6), st.integers(0, 12))
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [(SMALL, SMALL), (NEAR_2_31, NEAR_2_31), (NEAR_2_62, st.integers(-3, 3))],
+    ids=["small", "near_2_31", "near_2_62"],
+)
+@settings(deadline=None)
+@given(data=st.data(), at=AT, delta=st.integers(-3, 3))
+def test_compare_product_agrees_with_first_difference(left, right, data, at, delta):
+    # c is the exact product, with one coefficient changed unless delta is 0.
+    a, b = data.draw(poly_pairs(left, right))
+    exact = unchecked_product(a, b)
+    if not fits(exact):
+        with pytest.raises(CoefficientOverflowError):
+            compare_product(a, b, [], 1)
+        return
+    c_terms = changed_terms(exact, at, a.t_cap, delta)
+    assume(fits(c_terms))
+    c = TruncatedPoly(a.t_cap, c_terms)
+    try:
+        product = mul_by_terms(a, b)
+    except CoefficientOverflowError:
+        # The oracle also refuses a partial sum outside int64; a * b does not.
+        product = TruncatedPoly(a.t_cap, exact)
+    assert_agrees(compare_product(a, b, t_free_slices(c), 1), product, c)
+
+
+def base_lists(cap):
+    base = st.one_of(st.just(TruncatedPoly.zero(cap)), slice_polys(cap, SMALL, t=0, top=4))
+    return st.lists(base, max_size=cap + 1)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 4).flatmap(base_lists), st.integers(1, 4), AT, st.integers(-3, 3))
+def test_compare_product_with_powers_agrees_with_first_difference(bases, e, at, delta):
+    # b is sum_k bases[k]**e t^k, with one coefficient changed unless delta is 0.
+    cap = bases[0].t_cap if bases else 0
+    power_sum = TruncatedPoly.zero(cap)
+    for k, base in enumerate(bases):
+        shift = TruncatedPoly.term(cap, 1, t=k)
+        power_sum = power_sum + mul_by_terms(chain_power(base, e), shift)
+    one = TruncatedPoly.one(cap)
+    b = TruncatedPoly(cap, changed_terms(power_sum.terms, at, cap, delta))
+    assert_agrees(compare_product(one, b, bases, e), mul_by_terms(one, b), power_sum)
+
+
+@pytest.mark.parametrize("delta", [0, 1, -1])
+def test_compare_product_in_slots_wider_than_8_bytes(delta):
+    # Every coefficient of a * b is +-2^62, and the bound 3 * 2^62 needs
+    # 9-byte slots, converted one at a time.
+    c = 2**31
+    a = poly_of(2, {(0, 0, 0): c, (1, 0, 0): c, (0, 1, 1): -c})
+    b = poly_of(2, {(0, 0, 0): c, (1, 0, 0): -c, (0, 1, 0): c})
+    assert _slot_width(3 * c * c) == (9, None)
+    product = mul_by_terms(a, b)
+    other = TruncatedPoly(2, changed_terms(product.terms, (1, 1, 0), 2, delta))
+    assert_agrees(compare_product(a, b, t_free_slices(other), 1), product, other)
+
+
+def test_compare_product_rejects_bad_arguments():
+    one = TruncatedPoly.one(2)
+    with pytest.raises(ValueError, match="exponent"):
+        compare_product(one, one, [one], 0)
+    with pytest.raises(ValueError, match="exceed"):
+        compare_product(one, one, [one] * 4, 1)
+    with pytest.raises(ValueError, match="t-degree 0"):
+        compare_product(one, one, [TruncatedPoly.term(2, 1, t=1)], 1)
+    with pytest.raises(ValueError, match="t_cap mismatch"):
+        compare_product(one, TruncatedPoly.one(3), [], 1)
 
 
 def termwise_sum(a, b):
