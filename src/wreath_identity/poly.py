@@ -350,10 +350,9 @@ def _pack(
 
 
 def _words(value: int, slots: int, width: int, code: str | None):
-    """The words bias + c of a packed t-slice, range-checked through the least and greatest.
+    """The words bias + c of a packed t-slice, range-checked once, through the least and greatest.
 
-    Adding the bias int turns every signed slot into a plain digit, and the
-    slice's words are checked once, through their least and greatest values.
+    Adding the bias int turns every signed slot into a plain digit.
     """
     bias = 1 << (8 * width - 1)
     digits = (value + _bias_int(bias, width, slots)).to_bytes(slots * width, "little")
@@ -428,9 +427,8 @@ def _packed_product(
     """Each t-slice t <= cap of a * b as (packed int, largest q-exponent).
 
     One big-int product per pair of t-slices, summed per t.  The slots must
-    hold every coefficient of the product, and span must exceed every
-    u-degree of it.  A bound on the product of nonzero integer operands also
-    bounds their own coefficients, and a zero operand packs nothing.
+    hold every coefficient of the product (and so of nonzero operands), and
+    span must exceed every u-degree of it.
     """
     if not a or not b:
         return {}
@@ -513,17 +511,12 @@ def compare_product(
 ) -> tuple[TruncatedPoly, TruncatedPoly] | None:
     """Compare a * b with sum_k bases[k]**e t^k as packed t-slices, decoding only on a mismatch.
 
-    Each base is a polynomial on t-degree 0, and there are at most
-    t_cap + 1 of them.  Both sides are packed on one slot layout: the span
-    exceeds every u-degree of either side, and the slots hold both
-    ``_product_bound(a, b)`` and every ``_power_bound(base, e)``.  A slice
-    of a * b is the product sum ``_packed_product`` builds, a slice of the
-    other side one big-int power; every slice of both sides is range-checked
-    through its least and greatest word, those of a * b first, so an
-    overflow is refused exactly as ``a * b`` and then the powers one by one
-    would refuse it.  Equal layouts make equal slices equal ints.  Returns
-    None when every slice agrees, and otherwise both sides decoded, as
-    (a * b, sum_k bases[k]**e t^k).
+    The at most t_cap + 1 bases lie on t-degree 0.  Both sides share one
+    slot layout, wide enough for ``_product_bound(a, b)`` and every
+    ``_power_bound``, so equal slices are equal ints.  Every slice is
+    range-checked, those of a * b first, so an overflow is refused as
+    ``a * b`` and then the powers in order would refuse it.  Returns None
+    when every slice agrees, else both sides decoded: (a * b, the powers' sum).
 
     >>> bases = [q_integer(k + 1, 2) for k in range(3)]   # 1/((1 - t)(1 - q t))
     >>> compare_product(TruncatedPoly.one(2), expand_denominator(1, 2), bases, 1) is None
