@@ -212,12 +212,16 @@ def _factorised_cone_sum(colors: tuple[int, ...], cap: int) -> TruncatedPoly:
     for k in range(cap + 1):
         term = TruncatedPoly.term(cap, 1, t=k)
         for color, count in collections.Counter(colors).items():
-            interval = TruncatedPoly(
-                cap, ((m_prime(j, k), 1) for j in _cube_interval(color, k))
-            )
-            term = term * interval**count
+            term = term * _interval_power(color, count, k, cap)
         total = total + term
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _interval_power(color: int, count: int, k: int, cap: int) -> TruncatedPoly:
+    """(sum_{j in I} m'(j, k))^count, I the color's height-k interval; shared by every multiset."""
+    interval = TruncatedPoly(cap, ((m_prime(j, k), 1) for j in _cube_interval(color, k)))
+    return interval**count
 
 
 def check_grid_budget(r: int, n: int, k: int, budget: int) -> int:
@@ -287,12 +291,12 @@ def figure_grid(r: int, k: int) -> list[dict]:
 
     Entries are emitted in lexicographic (row-major) order of v; each
     monomial record carries the q- and u-exponents with the t-factor
-    divided out.
+    divided out, summed from one table of m'(j, k); :func:`m` is the oracle.
     """
     if r < 1 or k < 0:
         raise ValueError(f"need r >= 1 and k >= 0, got r={r}, k={k}")
-    grid = []
-    for v in itertools.product(range(k * r + 1), repeat=2):
-        mon = m(LatticePoint(v, k))
-        grid.append({"v": list(v), "monomial": {"q": mon.q, "u": mon.u}})
-    return grid
+    weights = [m_prime(j, k) for j in range(k * r + 1)]
+    return [
+        {"v": [v1, v2], "monomial": {"q": a.q + b.q, "u": a.u + b.u}}
+        for (v1, a), (v2, b) in itertools.product(enumerate(weights), repeat=2)
+    ]

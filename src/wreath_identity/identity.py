@@ -26,6 +26,7 @@ returns fresh containers, so the caller may change them.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from collections.abc import Sequence
 
@@ -171,25 +172,24 @@ def descent_shift_check(l: int, n: int) -> VerificationReport:
 
     For every pi, the window in G_eps with eps = (1^l, 0^(n-l)) must satisfy
     Des(window) minus {0} = Des(rho o pi), with 0 a descent exactly when
-    pi(1) <= l (and l >= 1).
+    pi(1) <= l (and l >= 1).  The windows are read as permuted letter keys.
     """
     started = time.perf_counter()
     params = {"l": l, "n": n}
     eps = few_colors_eps(l, n)
     rho_perm = rho(l, n)
+    masks = _descent_masks(itertools.permutations(map(bz_sort_key, range(1, n + 1), eps.colors)))
     counterexample = None
-    for pi in itertools.permutations(range(1, n + 1)):
-        w = colored_window(eps, pi)
-        colored = descent_set(w)
+    for pi, mask in zip(itertools.permutations(range(1, n + 1)), masks):
         sigma = compose(rho_perm, pi)
-        ordinary = ordinary_descent_set(sigma)
         zero_expected = l >= 1 and pi[0] <= l
-        if colored - {0} != ordinary or (0 in colored) != zero_expected:
+        if mask[1:] != tuple(map(operator.gt, sigma, sigma[1:])) or mask[0] != zero_expected:
+            w = colored_window(eps, pi)
             counterexample = {
                 "window": w.window_str(),
-                "descents": sorted(colored),
+                "descents": sorted(descent_set(w)),
                 "shifted_perm": list(sigma),
-                "ordinary_descents": sorted(ordinary),
+                "ordinary_descents": sorted(ordinary_descent_set(sigma)),
             }
             break
     return _finish("descent_shift", params, counterexample, started)
@@ -253,6 +253,13 @@ def _letter_set(eps: EpsilonVector) -> list[tuple[int, int]]:
     return sorted(letters, key=lambda vc: bz_sort_key(*vc))
 
 
+def _omega(eps: EpsilonVector, eps_prime: EpsilonVector) -> dict:
+    """omega as a map from the letters (v, c) of eps to those of eps_prime."""
+    if sorted(eps.colors) != sorted(eps_prime.colors):
+        raise ValueError(f"{eps_prime.colors} is not a rearrangement of {eps.colors}")
+    return dict(zip(_letter_set(eps), _letter_set(eps_prime)))
+
+
 def omega_map(
     eps: EpsilonVector, eps_prime: EpsilonVector, w: ColoredPermutation
 ) -> ColoredPermutation:
@@ -262,13 +269,9 @@ def omega_map(
     arise), and omega matches them rank by rank; the window is mapped
     letterwise.
     """
-    if sorted(eps.colors) != sorted(eps_prime.colors):
-        raise ValueError(
-            f"{eps_prime.colors} is not a rearrangement of {eps.colors}"
-        )
+    omega = _omega(eps, eps_prime)
     if w.colors != tuple(eps.color_of(v) for v in w.pi):
         raise ValueError(f"window {w.window_str()} does not belong to G_{eps.colors}")
-    omega = dict(zip(_letter_set(eps), _letter_set(eps_prime)))
     mapped = [omega[(v, c)] for v, c in zip(w.pi, w.colors)]
     return ColoredPermutation(
         tuple(v for v, _ in mapped), tuple(c for _, c in mapped)
@@ -305,13 +308,18 @@ def verify_lemma_same_support(
     params = {"r": r, "n": n, "t_cap": cap, "check_cone": True}
 
     perms = list(itertools.permutations(range(1, n + 1)))
-    # keys[c][v] is the key of the letter v^c.
-    keys = [[bz_sort_key(v, c) for v in range(n + 1)] for c in range(r)]
+    # rows[c][v] is the key of the letter v^c; colors are indexed by position.
+    rows = [tuple(bz_sort_key(v, c) for v in range(n + 1)) for c in range(r)]
+    by_word: dict[tuple[tuple[int, ...], ...], list[tuple[bool, ...]]] = {}
 
     def masks(colors: tuple[int, ...]) -> list[tuple[bool, ...]]:
         """The descent indicator vector of the window (pi, colors), for every pi."""
-        rows = [keys[c] for c in colors]
-        return list(_descent_masks(tuple(map(list.__getitem__, rows, pi)) for pi in perms))
+        word = tuple(map(rows.__getitem__, colors))  # one list per distinct key word
+        if word not in by_word:
+            by_word[word] = list(
+                _descent_masks(tuple(map(tuple.__getitem__, word, pi)) for pi in perms)
+            )
+        return by_word[word]
 
     lead = lead_masks = None
     for e1, e2 in _same_support_pairs(r, n):
@@ -348,6 +356,19 @@ def verify_lemma_same_support(
     return _finish("same_support", params, None, started)
 
 
+_group_sides: dict[tuple[tuple[int, ...], int], TruncatedPoly] = {}
+
+
+def _group_side(eps: EpsilonVector, cap: int) -> TruncatedPoly:
+    """GF(G_eps) * expand_denominator(n, cap), kept at u^0 per (key tuple, cap), times u^col."""
+    key, u = (tuple(map(bz_sort_key, range(1, eps.n + 1), eps.colors)), cap), eps.col()
+    if key not in _group_sides:
+        gf = g_epsilon_gf(eps, cap).terms
+        at_u0 = TruncatedPoly(cap, (((q, t, e - u), c) for (q, t, e), c in gf.items()))
+        _group_sides[key] = at_u0 * expand_denominator(eps.n, cap)
+    return _group_sides[key] * TruncatedPoly.term(cap, 1, u=u)
+
+
 def verify_prop_few_colors(
     l: int, n: int, cap: int, budget: int = DEFAULT_BUDGET
 ) -> VerificationReport:
@@ -375,7 +396,7 @@ def verify_prop_few_colors(
 
     sides = (
         ("closed_form", geometric, closed),
-        ("group_side", geometric, g_epsilon_gf(eps, cap) * expand_denominator(n, cap)),
+        ("group_side", geometric, _group_side(eps, cap)),
         ("factorised", cone_sum(eps, cap, budget), geometric),
     )
     for part, lhs, rhs in sides:
@@ -393,16 +414,25 @@ def verify_lemma_triple_preserving(
     """omega induces a descent-set-preserving bijection G_eps -> G_eps_prime.
 
     Checks the setwise Des equality elementwise (which subsumes maj and
-    des), the color weights, and bijectivity of the induced map.
+    des), the color weights, and bijectivity of the induced map.  Every image
+    has the same col, and the images are G_eps_prime exactly when omega
+    maps the letters of eps onto those of eps_prime.
     """
     started = time.perf_counter()
     params = {"eps": list(eps.colors), "eps_prime": list(eps_prime.colors)}
+    omega = _omega(eps, eps_prime)
+    letters = list(enumerate(eps.colors, 1))
+    images = [omega[letter] for letter in letters]
+    same_col = sum(c for _, c in images) == eps.col()
+    # Permuting the letters walks the windows in the order of g_epsilon.
+    masks = _descent_masks(itertools.permutations(itertools.starmap(bz_sort_key, letters)))
+    image_masks = _descent_masks(itertools.permutations(itertools.starmap(bz_sort_key, images)))
+    perms = itertools.permutations(range(1, eps.n + 1))
     counterexample = None
-    images = []
-    for w in g_epsilon(eps):
-        image = omega_map(eps, eps_prime, w)
-        images.append(image)
-        if descent_set(image) != descent_set(w) or sum(image.colors) != sum(w.colors):
+    for pi, mask, image_mask in zip(perms, masks, image_masks):
+        if mask != image_mask or not same_col:
+            w = colored_window(eps, pi)
+            image = omega_map(eps, eps_prime, w)
             counterexample = {
                 "window": w.window_str(),
                 "image": image.window_str(),
@@ -410,13 +440,12 @@ def verify_lemma_triple_preserving(
                 "image_descents": sorted(descent_set(image)),
             }
             break
-    if counterexample is None:
-        if set(images) != set(g_epsilon(eps_prime)):
-            counterexample = {
-                "part": "bijection",
-                "image_count": len(set(images)),
-                "expected_count": len(list(g_epsilon(eps_prime))),
-            }
+    if counterexample is None and sorted(images) != list(enumerate(eps_prime.colors, 1)):
+        counterexample = {
+            "part": "bijection",
+            "image_count": len({omega_map(eps, eps_prime, w) for w in g_epsilon(eps)}),
+            "expected_count": len(list(g_epsilon(eps_prime))),
+        }
     return _finish("triple_preserving", params, counterexample, started)
 
 
@@ -427,7 +456,7 @@ def verify_corollary(
     started = time.perf_counter()
     params = {"eps": list(eps.colors), "t_cap": cap}
     lhs = cone_sum(eps, cap, budget)
-    rhs = g_epsilon_gf(eps, cap) * expand_denominator(eps.n, cap)
+    rhs = _group_side(eps, cap)
     return report_from_comparison("cone_generating_function", params, lhs, rhs, started)
 
 

@@ -28,6 +28,7 @@ neither ``dataclasses`` nor the ``inspect`` it imports.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import operator
@@ -312,18 +313,23 @@ def g_epsilon_gf(eps: EpsilonVector, cap: int) -> TruncatedPoly:
 
     Builds no window: every letter of G_eps keeps its color, so a window is
     an ordering of the n letter keys from :func:`bz_sort_key`, read after
-    the sentinel's key.  ``_window_tally`` over :func:`g_epsilon` is the
+    the sentinel's key, and the (maj, des) tally is made once per key tuple
+    (:func:`_key_tally`).  ``_window_tally`` over :func:`g_epsilon` is the
     oracle.
     """
-    keys = [bz_sort_key(v, c) for v, c in enumerate(eps.colors, 1)]
+    keys, u = tuple(bz_sort_key(v, c) for v, c in enumerate(eps.colors, 1)), eps.col()
+    return TruncatedPoly(cap, ((Monomial(q, d, u), count) for (q, d), count in _key_tally(keys)))
+
+
+@functools.lru_cache(maxsize=None)
+def _key_tally(keys: tuple[int, ...]) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The ((maj, des), count) pairs over all orderings of the letter keys."""
     # Tally the descent indicator vectors first: there are at most 2^n.
     masks = collections.Counter(_descent_masks(itertools.permutations(keys)))
     counts = collections.Counter()
-    u = eps.col()
     for mask, count in masks.items():
-        q = sum(itertools.compress(range(eps.n), mask))
-        counts[Monomial(q, sum(mask), u)] += count
-    return TruncatedPoly(cap, counts)
+        counts[sum(itertools.compress(range(len(keys)), mask)), sum(mask)] += count
+    return tuple(counts.items())
 
 
 def numerator(

@@ -4,8 +4,20 @@ Figure grids map a point (v1, v2) to its t-free weight (q_exp, u_exp);
 descent tables map window text to the expected descent set.
 :func:`tuple_order_descents` restates the descent rule without the
 package's letter key, so that the key's fast paths have a reference that
-a wrong key does not also change.
+a wrong key does not also change.  :func:`clear_caches` empties every
+cache of computed polynomials, for tests that lower ``poly.INT64_MAX``.
 """
+
+from wreath_identity import geometry, identity, poly, wreath
+
+
+def clear_caches():
+    """Forget every cached result, so each is rebuilt under the current range check."""
+    poly.expand_denominator.cache_clear()
+    wreath._key_tally.cache_clear()
+    geometry._factorised_cone_sum.cache_clear()
+    geometry._interval_power.cache_clear()
+    identity._group_sides.clear()
 
 
 def tuple_order_descents(w):

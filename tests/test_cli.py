@@ -26,7 +26,7 @@ from wreath_identity.wreath import (
     numerator,
 )
 
-from golden import DES_101, FIGURE_R2_K1, FIGURE_R2_K2, tuple_order_descents
+from golden import DES_101, FIGURE_R2_K1, FIGURE_R2_K2, clear_caches, tuple_order_descents
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,10 +86,10 @@ def test_verify_all_steps_refuses_a_cone_over_budget_up_front(capsys, monkeypatc
     code, _, _ = run_cli(capsys, "verify", "--r", "2", "--n", "3", "--budget", "60")
     assert code == 0
 
-    def descent_set(*args):
+    def descent_masks(*args):
         raise AssertionError("a step ran before the cone budget refusal")
 
-    monkeypatch.setattr(identity, "descent_set", descent_set)
+    monkeypatch.setattr(identity, "_descent_masks", descent_masks)
     code, out, err = run_cli(
         capsys, "verify", "--all-steps", "--r", "2", "--n", "3", "--budget", "60"
     )
@@ -104,6 +104,7 @@ def test_verify_coefficient_overflow_exits_3(capsys, monkeypatch):
     rhs = numerator(2, 3, 6) * expand_denominator(3, 6)
     largest = max(abs(c) for c in rhs.terms.values())
     monkeypatch.setattr(poly, "INT64_MAX", largest - 1)
+    clear_caches()
     code, out, err = run_cli(capsys, "verify", "--r", "2", "--n", "3")
     assert code == 3
     assert out == ""

@@ -82,6 +82,18 @@ def test_figure_grid_matches_golden(k, golden):
         assert cell["monomial"] == {"q": q_exp, "u": u_exp}, cell
 
 
+@pytest.mark.parametrize("r", range(1, 5))
+def test_figure_grid_matches_point_weights(r):
+    # The per-coordinate table against m on each lattice point, apex included.
+    for k in range(7):
+        expected = [
+            {"v": list(v), "monomial": {"q": mon.q, "u": mon.u}}
+            for v in itertools.product(range(k * r + 1), repeat=2)
+            for mon in [m(LatticePoint(v, k))]
+        ]
+        assert figure_grid(r, k) == expected, k
+
+
 def test_figure_grid_r1_is_pure_q_powers():
     for cell in figure_grid(1, 2):
         assert cell["monomial"]["u"] == 0

@@ -44,7 +44,7 @@ from wreath_identity.identity import (
     verify_theorem,
 )
 
-from golden import DES_101, DESCENT_SHIFT_110, OMEGA_IMAGES, OMEGA_LETTERS
+from golden import DES_101, DESCENT_SHIFT_110, OMEGA_IMAGES, OMEGA_LETTERS, clear_caches
 
 
 def window(text):
@@ -100,6 +100,24 @@ def test_descent_shift_l0_is_plain_descents():
     report = descent_shift_check(0, 4)
     assert report.ok
     assert report.params == {"l": 0, "n": 4}
+
+
+@pytest.mark.parametrize(
+    "l,counterexample",
+    [
+        (2, {"window": "[1^1 2^1 3^0]", "descents": [0, 1], "shifted_perm": [1, 2, 3], "ordinary_descents": []}),
+        (3, {"window": "[1^1 2^1 3^1]", "descents": [0, 1, 2], "shifted_perm": [1, 2, 3], "ordinary_descents": []}),
+    ],
+)
+def test_a_wrong_rho_fails_descent_shift(monkeypatch, l, counterexample):
+    # rho as the identity permutation reverses nothing, so the colored
+    # prefix's descents have no ordinary counterpart.
+    assert descent_shift_check(l, 3).ok
+    monkeypatch.setattr(identity, "rho", lambda l, n: tuple(range(1, n + 1)))
+    report = descent_shift_check(l, 3)
+    assert not report.ok
+    assert report.counterexample == counterexample
+    assert list(report.counterexample) == list(counterexample)
 
 
 # -- the composition chain --------------------------------------------------------
@@ -309,6 +327,23 @@ def test_a_wrong_letter_key_fails_same_support_descents(monkeypatch, r, n, count
     assert list(report.counterexample) == ["part", "pi", "eps", "eps_prime", "lhs", "rhs"]
 
 
+def test_a_wrong_letter_key_fails_same_support_with_colors_by_position(monkeypatch):
+    # Same-support windows carry their colors by position; reading them as
+    # letter colors, as G_eps does, would stop at another pair.  Under this
+    # key v^2 sits above v^1.
+    patch_letter_key(monkeypatch, lambda value, color: -value + 2 * (color > 1) if color > 0 else value)
+    report = verify_lemma_same_support(3, 3, cap=2)
+    assert not report.ok
+    assert report.counterexample == {
+        "part": "descents",
+        "pi": [1, 2, 3],
+        "eps": [0, 1, 1],
+        "eps_prime": [0, 1, 2],
+        "lhs": [1, 2],
+        "rhs": [1],
+    }
+
+
 def test_a_wrong_cone_sum_fails_same_support_with_its_first_pair(monkeypatch):
     factorised = identity.cone_sum
 
@@ -349,6 +384,84 @@ def test_triple_preserving_passes():
         EpsilonVector((2, 0, 1)), EpsilonVector((0, 1, 2))
     )
     assert report.ok
+
+
+LETTER_SET = identity._letter_set
+
+
+def by_value(eps):
+    """The letters of eps in value order: a wrong stand-in for _letter_set."""
+    return [(v, eps.color_of(v)) for v in range(1, eps.n + 1)]
+
+
+def reversed_letter_set(eps):
+    """The letter set of eps reversed: omega then relabels onto the wrong G_eps_prime."""
+    return LETTER_SET(EpsilonVector(eps.colors[::-1]))
+
+
+def doubling_on(target):
+    """A stand-in for _letter_set that doubles target's colors: omega then changes col."""
+
+    def letter_set(eps):
+        return LETTER_SET(EpsilonVector([2 * c for c in eps.colors]) if eps == target else eps)
+
+    return letter_set
+
+
+@pytest.mark.parametrize(
+    "letter_set,eps,eps_prime,counterexample",
+    [
+        (
+            by_value,
+            (2, 0, 1),
+            (0, 1, 2),
+            {"window": "[1^2 2^0 3^1]", "image": "[1^0 2^1 3^2]", "descents": [0, 2], "image_descents": [1, 2]},
+        ),
+        (
+            by_value,
+            (1, 0, 2, 0),
+            (0, 2, 0, 1),
+            {"window": "[1^1 2^0 3^2 4^0]", "image": "[1^0 2^2 3^0 4^1]", "descents": [0, 2], "image_descents": [1, 3]},
+        ),
+        (
+            doubling_on(EpsilonVector((1, 0, 1))),
+            (1, 1, 0),
+            (1, 0, 1),
+            {"window": "[1^1 2^1 3^0]", "image": "[1^2 3^2 2^0]", "descents": [0, 1], "image_descents": [0, 1]},
+        ),
+        (
+            reversed_letter_set,
+            (1, 0, 1),
+            (1, 1, 0),
+            {"part": "bijection", "image_count": 6, "expected_count": 6},
+        ),
+    ],
+)
+def test_a_wrong_omega_fails_triple_preserving(monkeypatch, letter_set, eps, eps_prime, counterexample):
+    # Matching letters by value ignores the colored-letter order; doubling
+    # the colors keeps every descent but not col; reversing relabels onto
+    # G of the reversed eps_prime, which preserves descents but misses
+    # G_eps_prime.
+    eps, eps_prime = EpsilonVector(eps), EpsilonVector(eps_prime)
+    assert verify_lemma_triple_preserving(eps, eps_prime).ok
+    monkeypatch.setattr(identity, "_letter_set", letter_set)
+    report = verify_lemma_triple_preserving(eps, eps_prime)
+    assert not report.ok
+    assert report.counterexample == counterexample
+    assert list(report.counterexample) == list(counterexample)
+
+
+@pytest.mark.parametrize("eps", [(0, 2, 1), (2, 1)])
+def test_a_wrong_letter_key_fails_the_corollary(monkeypatch, eps):
+    # The passing run fills the caches of the group side first; the wrong
+    # key ties v^2 with (v+1)^1, which changes the key tuple and G_eps's
+    # descents but not the cone sum.
+    eps = EpsilonVector(eps)
+    assert verify_corollary(eps, cap=4).ok
+    patch_letter_key(monkeypatch, lambda value, color: -value - (color > 1) if color > 0 else value)
+    report = verify_corollary(eps, cap=4)
+    assert not report.ok
+    assert report.counterexample == {"monomial": {"q": 0, "t": 1, "u": 3}, "lhs": 1, "rhs": 2}
 
 
 def test_a_wrong_factorised_cone_sum_fails_few_colors_and_corollary(monkeypatch):
@@ -508,12 +621,12 @@ def test_theorem_overflows_where_the_decoded_sides_do(monkeypatch, r, n, cap, de
     outcomes = set()
     for limit in sorted(limits):
         monkeypatch.setattr(poly, "INT64_MAX", limit)
-        expand_denominator.cache_clear()
+        clear_caches()
         expected = theorem_by_decoded_sides(r, n, cap)
-        expand_denominator.cache_clear()
+        clear_caches()
         assert theorem_outcome(r, n, cap) == expected, limit
         outcomes.add(expected[0])
-    expand_denominator.cache_clear()
+    clear_caches()
     assert "overflow" in outcomes
 
 
