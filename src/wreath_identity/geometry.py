@@ -56,6 +56,8 @@ def m_prime(j: int, k: int) -> Monomial:
     """
     if j < 0:
         raise ValueError(f"coordinate value must be nonnegative, got {j}")
+    if k < 0:
+        raise ValueError(f"height must be nonnegative, got {k}")
     if k == 0:
         if j != 0:
             raise ValueError(f"height 0 admits only the apex coordinate, got {j}")

@@ -12,13 +12,16 @@ any u-degree of the product, so one big-int product per pair of t-degrees
 (t1 + t2 <= cap) does the work of all its term pairs.  Slots are sized from
 the a-priori bound ||a||_1 * ||b||_inf on every product coefficient, so no
 coefficient can spill into its neighbour, and rounded up to 1, 2, 4 or 8
-bytes.  A slice is packed by writing bias + c, with bias = 2^(8w-1), into an
-array of w-byte words and subtracting one packed bias int, so signed
-coefficients need no second pass.  A slice of the product is read back the
-other way: one bias int is added, the digits become one array of words,
-the array is range-checked once through its least and greatest word, and
-only the words that differ from the bias are decoded into monomials.
-A product by a single term is a shift of the other operand, with no packing.
+bytes.  The layout (U, w, array typecode) is one value, chosen once per
+operation, and a packed t-slice is one int on it: bias + c, with bias =
+2^(8w-1), is written into an array of w-byte words and one packed bias int
+is subtracted, so signed coefficients need no second pass.  A slice is
+read back the other way.  Every |c| is below the bias, so a nonzero top
+slot T puts |x| above 2^(8wT-1), and x.bit_length() // 8w + 1 slots hold
+it.  One bias int is added, the digits become one array of words, the
+array is range-checked once through its least and greatest word, and only
+the words that differ from the bias are decoded into monomials.  A product
+by a single term is a shift of the other operand, with no packing.
 
 A power of a polynomial on one t-degree is one pack, one big-int power and
 one readback, with slots sized from ||a||_1^(e-1) * ||a||_inf at any width;
@@ -312,15 +315,13 @@ def _slot_width(bound: int) -> tuple[int, str | None]:
     return next(((size, code) for size, code in _WORDS if size >= need), (need, None))
 
 
-def _bias_int(bias: int, width: int, slots: int) -> int:
-    """The packed int with ``bias`` in each of ``slots`` slots."""
-    return int.from_bytes(bias.to_bytes(width, "little") * slots, "little")
+def _bias_int(width: int, slots: int) -> int:
+    """The packed int with the bias 2^(8*width-1) in each of ``slots`` slots."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * slots, "little")
 
 
-def _pack(
-    terms: dict[Monomial, int], span: int, width: int, code: str | None
-) -> dict[int, tuple[int, int]]:
-    """Each t-slice of terms as (packed int, largest q-exponent).
+def _pack(terms: dict[Monomial, int], layout: tuple[int, int, str | None]) -> dict[int, int]:
+    """Each t-slice of terms as one packed int, on layout (span, width, typecode).
 
     The term q^a t^k u^b lands in slot a*span + b of the t^k int, each slot
     ``width`` bytes wide, little end first.  Every slot of a slice's words
@@ -328,14 +329,14 @@ def _pack(
     and one packed bias int per slice is subtracted, so the packed int is
     the exact signed sum c * 256^(width*slot).
     """
+    span, width, code = layout
     by_t: dict[int, list[tuple[int, int]]] = {}
     for (q, t, u), coeff in terms.items():
         by_t.setdefault(t, []).append((q * span + u, coeff))
     bias = 1 << (8 * width - 1)
     packed = {}
     for t, entries in by_t.items():
-        top_q = max(entries)[0] // span
-        slots = (top_q + 1) * span
+        slots = max(entries)[0] + 1
         words = [bias] * slots if code is None else array.array(code, [bias]) * slots
         for at, coeff in entries:
             words[at] = bias + coeff
@@ -345,17 +346,19 @@ def _pack(
             if _BIG_ENDIAN:
                 words.byteswap()
             data = words.tobytes()
-        packed[t] = (int.from_bytes(data, "little") - _bias_int(bias, width, slots), top_q)
+        packed[t] = int.from_bytes(data, "little") - _bias_int(width, slots)
     return packed
 
 
-def _words(value: int, slots: int, width: int, code: str | None):
+def _words(value: int, layout: tuple[int, int, str | None]):
     """The words bias + c of a packed t-slice, range-checked once, through the least and greatest.
 
-    Adding the bias int turns every signed slot into a plain digit.
+    The slot count follows from the int itself, as the module docstring
+    shows.  Adding the bias int turns every signed slot into a plain digit.
     """
-    bias = 1 << (8 * width - 1)
-    digits = (value + _bias_int(bias, width, slots)).to_bytes(slots * width, "little")
+    _, width, code = layout
+    slots = value.bit_length() // (8 * width) + 1
+    digits = (value + _bias_int(width, slots)).to_bytes(slots * width, "little")
     if code is None:
         words = [
             int.from_bytes(digits[at : at + width], "little")
@@ -365,37 +368,28 @@ def _words(value: int, slots: int, width: int, code: str | None):
         words = array.array(code, digits)
         if _BIG_ENDIAN:
             words.byteswap()
+    bias = 1 << (8 * width - 1)
     _checked(min(words) - bias)
     _checked(max(words) - bias)
     return words
 
 
-def _unpack(
-    value: int, t: int, slots: int, span: int, width: int, code: str | None
-) -> Iterable[tuple[Monomial, int]]:
-    """The nonzero terms of a packed t-slice, read back at t-exponent t.
+def _decode(slices: dict[int, int], layout: tuple[int, int, str | None]) -> dict[Monomial, int]:
+    """The canonical terms of packed t-slices, by t-degree.
 
-    The slice's words are range-checked by ``_words``, and only the words
+    Each slice's words are range-checked by ``_words``, and only the words
     that differ from the bias are decoded.
     """
+    span, width, _ = layout
     bias = 1 << (8 * width - 1)
-    words = _words(value, slots, width, code)
-    live = list(map(bias.__ne__, words))
-    at = list(itertools.compress(range(slots), live))
-    keys = zip(map(span.__rfloordiv__, at), itertools.repeat(t), map(span.__rmod__, at))
-    return zip(
-        map(tuple.__new__, itertools.repeat(Monomial), keys),
-        map(bias.__rsub__, itertools.compress(words, live)),
-    )
-
-
-def _decode(
-    slices: dict[int, tuple[int, int]], span: int, width: int, code: str | None
-) -> dict[Monomial, int]:
-    """The canonical terms of packed t-slices, each given as (packed int, largest q-exponent)."""
     out: dict[Monomial, int] = {}
-    for t, (value, top_q) in slices.items():
-        out.update(_unpack(value, t, (top_q + 1) * span, span, width, code))
+    for t, value in slices.items():
+        words = _words(value, layout)
+        live = list(map(bias.__ne__, words))
+        at = list(itertools.compress(range(len(words)), live))
+        keys = zip(map(span.__rfloordiv__, at), itertools.repeat(t), map(span.__rmod__, at))
+        coeffs = map(bias.__rsub__, itertools.compress(words, live))
+        out.update(zip(map(tuple.__new__, itertools.repeat(Monomial), keys), coeffs))
     return out
 
 
@@ -417,39 +411,24 @@ def _power_bound(a: dict[Monomial, int], e: int) -> int:
 
 
 def _packed_product(
-    a: dict[Monomial, int],
-    b: dict[Monomial, int],
-    cap: int,
-    span: int,
-    width: int,
-    code: str | None,
-) -> dict[int, tuple[int, int]]:
-    """Each t-slice t <= cap of a * b as (packed int, largest q-exponent).
+    a: dict[Monomial, int], b: dict[Monomial, int], cap: int, layout: tuple[int, int, str | None]
+) -> dict[int, int]:
+    """Each t-slice t <= cap of a * b as one packed int.
 
     One big-int product per pair of t-slices, summed per t.  The slots must
     hold every coefficient of the product (and so of nonzero operands), and
-    span must exceed every u-degree of it.
+    the span must exceed every u-degree of it.
     """
     if not a or not b:
         return {}
-    a_slices = _pack(a, span, width, code)
-    b_slices = _pack(b, span, width, code)
-    out: dict[int, tuple[int, int]] = {}
-    for t1, (x, qa) in a_slices.items():
-        for t2, (y, qb) in b_slices.items():
+    b_slices = _pack(b, layout)
+    out: dict[int, int] = {}
+    for t1, x in _pack(a, layout).items():
+        for t2, y in b_slices.items():
             t = t1 + t2
             if t <= cap:
-                value, top_q = out.get(t, (0, 0))
-                out[t] = (value + x * y, max(top_q, qa + qb))
+                out[t] = out.get(t, 0) + x * y
     return out
-
-
-def _packed_power(
-    a: dict[Monomial, int], e: int, span: int, width: int, code: str | None
-) -> tuple[int, int]:
-    """a ** e, for nonzero a on one t-degree, as (packed int, largest q-exponent)."""
-    ((x, top_q),) = _pack(a, span, width, code).values()
-    return x**e, e * top_q
 
 
 def _kronecker_product(
@@ -480,9 +459,8 @@ def _kronecker_product(
         qs, ts, us = zip(*mons)
         keys = zip(map(dq.__add__, qs), map(dt.__add__, ts), map(du.__add__, us))
         return dict(zip(map(tuple.__new__, itertools.repeat(Monomial), keys), scaled))
-    width, code = _slot_width(_product_bound(a, b))
-    span = _max_u(a) + _max_u(b) + 1
-    return _decode(_packed_product(a, b, cap, span, width, code), span, width, code)
+    layout = (_max_u(a) + _max_u(b) + 1, *_slot_width(_product_bound(a, b)))
+    return _decode(_packed_product(a, b, cap, layout), layout)
 
 
 def _slice_power(a: dict[Monomial, int], e: int, t: int, cap: int) -> dict[Monomial, int]:
@@ -495,15 +473,9 @@ def _slice_power(a: dict[Monomial, int], e: int, t: int, cap: int) -> dict[Monom
     """
     if t > cap:
         return {}
-    width, code = _slot_width(_power_bound(a, e))
-    span = e * _max_u(a) + 1
-    value, top_q = _packed_power(a, e, span, width, code)
-    return _decode({t: (value, top_q)}, span, width, code)
-
-
-def _nonzero(slices: dict[int, tuple[int, int]]) -> dict[int, int]:
-    """The packed ints of the nonzero slices, by t-degree."""
-    return {t: value for t, (value, _) in slices.items() if value}
+    layout = (e * _max_u(a) + 1, *_slot_width(_power_bound(a, e)))
+    (x,) = _pack(a, layout).values()
+    return _decode({t: x**e}, layout)
 
 
 def compare_product(
@@ -535,23 +507,17 @@ def compare_product(
         raise ValueError("every base must lie on t-degree 0")
     a, b = a._terms, b._terms
     bound = max([_product_bound(a, b)] + [_power_bound(terms, e) for terms in powers])
-    width, code = _slot_width(bound)
     span = max([_max_u(a) + _max_u(b)] + [e * _max_u(terms) for terms in powers]) + 1
-
-    def checked(slices: dict[int, tuple[int, int]]) -> dict[int, tuple[int, int]]:
-        for value, top_q in slices.values():
-            _words(value, (top_q + 1) * span, width, code)
-        return slices
-
-    product = checked(_packed_product(a, b, cap, span, width, code))
-    power_sum = checked(
-        {k: _packed_power(terms, e, span, width, code) for k, terms in enumerate(powers) if terms}
-    )
-    if _nonzero(product) == _nonzero(power_sum):
+    layout = (span, *_slot_width(bound))
+    product = _packed_product(a, b, cap, layout)
+    power_sum = {k: _pack(terms, layout)[0] ** e for k, terms in enumerate(powers) if terms}
+    for value in [*product.values(), *power_sum.values()]:
+        _words(value, layout)
+    if {t: value for t, value in product.items() if value} == power_sum:
         return None
     return (
-        TruncatedPoly._trusted(cap, _decode(product, span, width, code)),
-        TruncatedPoly._trusted(cap, _decode(power_sum, span, width, code)),
+        TruncatedPoly._trusted(cap, _decode(product, layout)),
+        TruncatedPoly._trusted(cap, _decode(power_sum, layout)),
     )
 
 
@@ -611,6 +577,8 @@ def expand_denominator(n: int, cap: int) -> TruncatedPoly:
     """
     if n < 1:
         raise ValueError(f"need a positive number of variables, got n={n}")
+    if cap < 0:
+        raise ValueError(f"t_cap must be nonnegative, got {cap}")
     terms = {Monomial(0, 0, 0): 1}
     coeffs = [1]
     for m in range(1, cap + 1):
@@ -637,6 +605,8 @@ def lhs_base(r: int, k: int, cap: int) -> TruncatedPoly:
     """
     if r < 1 or k < 0:
         raise ValueError(f"need r >= 1 and k >= 0, got r={r}, k={k}")
+    if cap < 0:
+        raise ValueError(f"t_cap must be nonnegative, got {cap}")
     return TruncatedPoly._trusted(
         cap, {Monomial(j, 0, i): 1 for i in range(r) for j in range(k + (i == 0))}
     )

@@ -45,6 +45,9 @@ def test_m_prime_apex_and_errors():
         m_prime(1, 0)
     with pytest.raises(ValueError):
         m_prime(-1, 2)
+    for j, k in ((3, -2), (1, -1)):
+        with pytest.raises(ValueError, match=f"height must be nonnegative, got {k}"):
+            m_prime(j, k)
 
 
 def test_m_prime_row_sums_match_the_summand_base():

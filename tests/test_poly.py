@@ -11,6 +11,8 @@ from wreath_identity.poly import (
     INT64_MIN,
     Monomial,
     TruncatedPoly,
+    _decode,
+    _pack,
     _slot_width,
     compare_product,
     expand_denominator,
@@ -54,6 +56,10 @@ def test_integer_index_must_be_nonnegative():
         q_integer(-1, 3)
     with pytest.raises(ValueError):
         u_integer(-2, 3)
+    negative_caps = [(q_integer, (2, -1)), (expand_denominator, (2, -1)), (lhs_base, (2, 1, -1))]
+    for build, args in negative_caps:
+        with pytest.raises(ValueError, match="t_cap must be nonnegative, got -1"):
+            build(*args)
 
 
 # -- ring operations -----------------------------------------------------------
@@ -422,6 +428,29 @@ def test_products_at_a_slot_width_boundary_unpack_exactly(bits, delta, signs):
     product = a3 * q_integer(3, 2)
     assert product == mul_by_terms(a3, q_integer(3, 2))
     assert product.coefficient(q=2) == 3 * (c // 3)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([1, 2, 4, 8, 9]), st.integers(1, 4), st.data())
+def test_decode_reads_back_every_packed_slice(width, span, data):
+    # Slots hold |c| < bias = 2^(8*width-1), and the readback takes a
+    # slice's slot count from its int alone.  Coefficients stay inside
+    # int64, where the readback's range check passes, so 9-byte slots are
+    # never full.
+    layout = (span, *_slot_width(2 ** (8 * width - 1) - 1))
+    assert layout[1] == width
+    full = min(2 ** (8 * width - 1) - 1, INT64_MAX)
+    coeffs = st.one_of(st.sampled_from([0, 1, -1, full, -full]), st.integers(-full, full))
+    mons = st.builds(Monomial, st.integers(0, 3), st.integers(0, 2), st.integers(0, span - 1))
+    terms = data.draw(st.dictionaries(mons, coeffs, max_size=8))
+    # The tight case at t^3: +-1 in the top slot over full slots of the
+    # other sign, so the int lies just past 2^(8*width*top - 1).
+    top, sign = data.draw(st.integers(0, 3 * span)), data.draw(st.sampled_from([1, -1]))
+    terms.update({Monomial(at // span, 3, at % span): -sign * full for at in range(top)})
+    terms[Monomial(top // span, 3, top % span)] = sign
+    packed = _pack(terms, layout)
+    packed[4] = 0  # a product slice that cancelled
+    assert _decode(packed, layout) == {m: c for m, c in terms.items() if c}
 
 
 def single_terms(cap, coeffs):
