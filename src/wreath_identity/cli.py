@@ -6,6 +6,12 @@ Exit codes: 0 all checks pass, 1 a verified claim failed, 2 usage or
 precondition error, 3 enumeration budget exceeded or coefficient overflow.
 :class:`RunConfig` is a :class:`~wreath_identity.wreath.Frozen` value: every
 command is a fresh process, and importing ``dataclasses`` would cost each one.
+For the same reason a command imports :mod:`~wreath_identity.geometry` and
+:mod:`~wreath_identity.identity` only when it runs, after its up-front
+refusals: ``table`` and a refused ``verify`` compile neither, nor the
+polynomial kernel, and ``verify`` without ``--all-steps`` never compiles
+``geometry``.  A name is read from its module at call time, so a wrapper or
+test double set on that module takes effect.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from json.encoder import encode_basestring_ascii
 
-from .poly import CoefficientOverflowError
+from .errors import CoefficientOverflowError
 from .wreath import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -31,22 +37,6 @@ from .wreath import (
     few_colors_range,
 )
 from .wreath import col, des, maj  # noqa: F401  unused; benchmark/traced_child.py wraps them here
-from .geometry import (
-    CubeSliceSpec,
-    check_cone_budget,
-    check_grid_budget,
-    enumerate_slice,
-    figure_grid,
-)
-from .identity import (
-    VerificationReport,
-    descent_shift_check,
-    verify_corollary,
-    verify_lemma_same_support,
-    verify_lemma_triple_preserving,
-    verify_prop_few_colors,
-    verify_theorem,
-)
 
 EXIT_PASS = 0
 EXIT_CLAIM_FAILED = 1
@@ -169,6 +159,15 @@ def _emit(
 
 
 def all_step_reports(r, n, cap, budget) -> list[VerificationReport]:
+    from .identity import (
+        descent_shift_check,
+        verify_corollary,
+        verify_lemma_same_support,
+        verify_lemma_triple_preserving,
+        verify_prop_few_colors,
+        verify_theorem,
+    )
+
     reports = [verify_lemma_same_support(r, n, cap=cap, budget=budget)]
     reports += [descent_shift_check(l, n) for l in few_colors_range(r, n)]
     reports += [verify_prop_few_colors(l, n, cap, budget) for l in few_colors_range(r, n)]
@@ -190,9 +189,13 @@ def cmd_verify(config: RunConfig) -> tuple[int, str]:
     # any step does its work.
     check_group_order(config.r, config.n, config.budget)
     if config.all_steps:
+        from .geometry import check_cone_budget
+
         check_cone_budget(config.n, config.t_cap, config.budget)
         reports = all_step_reports(config.r, config.n, config.t_cap, config.budget)
     else:
+        from .identity import verify_theorem
+
         reports = [verify_theorem(config.r, config.n, config.t_cap, config.budget)]
     code = EXIT_PASS if all(rep.ok for rep in reports) else EXIT_CLAIM_FAILED
     # Zero the timings: command output must be byte-identical across runs.
@@ -319,6 +322,8 @@ def cmd_figure(config: RunConfig) -> tuple[int, str]:
     """The n = 2 grid of point weights; a JSON cell is one format of _FIGURE_CELL."""
     if config.n != 2:
         raise UsageError(f"figure grids are only defined for n = 2, got n={config.n}")
+    from .geometry import check_grid_budget, figure_grid
+
     check_grid_budget(config.r, config.n, config.k, config.budget)
     grid = figure_grid(config.r, config.k)
     rows = ((*cell["v"], cell["monomial"]["q"], cell["monomial"]["u"]) for cell in grid)
@@ -329,6 +334,8 @@ def cmd_figure(config: RunConfig) -> tuple[int, str]:
 
 
 def cmd_decompose(config: RunConfig) -> tuple[int, str]:
+    from .geometry import CubeSliceSpec, check_grid_budget, enumerate_slice
+
     expected = check_grid_budget(config.r, config.n, config.k, config.budget)
     cells = []
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}

@@ -26,6 +26,7 @@ import collections
 import functools
 import itertools
 from collections.abc import Iterator, Sequence
+from operator import itemgetter
 
 from .poly import Monomial, TruncatedPoly
 from .wreath import (
@@ -154,7 +155,7 @@ def slice_sum(
     span = n * top_color + 1
     assert n * max(w.u for w in weights) < span
     table = [w.q * span + w.u for w in weights]
-    coordinates = (p.v for p in enumerate_slice(spec, budget))
+    coordinates = map(itemgetter(0), enumerate_slice(spec, budget))  # each point's v
     packed = collections.Counter(
         map(sum, map(map, itertools.repeat(table.__getitem__), coordinates))
     )

@@ -57,12 +57,10 @@ import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from operator import add, itemgetter, mul, sub
 
+from .errors import CoefficientOverflowError
+
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
-
-
-class CoefficientOverflowError(OverflowError):
-    """A coefficient left the signed 64-bit range."""
 
 
 class Monomial(collections.namedtuple("Monomial", "q t u")):

@@ -22,7 +22,10 @@ Both are :class:`Frozen` values: immutable ``__slots__`` classes with
 dataclass-style ``==``, ``hash`` and ``repr``.  The package's other value
 types (``CubeSliceSpec``, ``Partition``, ``VerificationReport`` and the
 CLI's ``RunConfig``) derive from it too, so importing the package loads
-neither ``dataclasses`` nor the ``inspect`` it imports.
+neither ``dataclasses`` nor the ``inspect`` it imports.  Only the three
+functions that build polynomials (:func:`_window_tally`,
+:func:`g_epsilon_gf` and :func:`numerator`) import
+:mod:`~wreath_identity.poly`, so ``table`` never compiles it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ import math
 import operator
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
-
-from .poly import Monomial, TruncatedPoly, u_integer
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -288,6 +289,8 @@ def few_colors_range(r: int, n: int) -> range:
 
 def _window_tally(windows: Iterable[ColoredPermutation], cap: int) -> TruncatedPoly:
     """Sum of q^maj t^des u^col over the windows, truncated at t-degree cap."""
+    from .poly import Monomial, TruncatedPoly
+
     counts = collections.Counter()
     for w in windows:
         d = descent_set(w)
@@ -317,6 +320,8 @@ def g_epsilon_gf(eps: EpsilonVector, cap: int) -> TruncatedPoly:
     (:func:`_key_tally`).  ``_window_tally`` over :func:`g_epsilon` is the
     oracle.
     """
+    from .poly import Monomial, TruncatedPoly
+
     keys, u = tuple(bz_sort_key(v, c) for v, c in enumerate(eps.colors, 1)), eps.col()
     return TruncatedPoly(cap, ((Monomial(q, d, u), count) for (q, d), count in _key_tally(keys)))
 
@@ -354,6 +359,8 @@ def numerator(
     des never exceeds n, so any cap >= n (the default is n itself) captures
     the polynomial exactly.
     """
+    from .poly import TruncatedPoly, u_integer
+
     check_group_order(r, n, budget)
     if cap is None:
         cap = n

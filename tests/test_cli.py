@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wreath_identity import cli, identity, poly
+from wreath_identity import cli, geometry, identity, poly
 from wreath_identity.cli import main
 from wreath_identity.geometry import figure_grid
 from wreath_identity.poly import expand_denominator
@@ -72,7 +73,7 @@ def test_verify_refuses_before_any_step(capsys, monkeypatch):
     def cone_sum(*args):
         raise AssertionError("a cone sum ran before the budget refusal")
 
-    monkeypatch.setattr(identity, "cone_sum", cone_sum)
+    monkeypatch.setattr(geometry, "cone_sum", cone_sum)
     code, out, err = run_cli(
         capsys, "verify", "--all-steps", "--r", "3", "--n", "5", "--budget", "1000"
     )
@@ -537,8 +538,8 @@ def test_slice_commands_refuse_over_budget_up_front(capsys, monkeypatch, argv):
     def fail(*args):
         raise AssertionError("a slice was enumerated before the budget refusal")
 
-    monkeypatch.setattr(cli, "enumerate_slice", fail)
-    monkeypatch.setattr(cli, "figure_grid", fail)
+    monkeypatch.setattr(geometry, "enumerate_slice", fail)
+    monkeypatch.setattr(geometry, "figure_grid", fail)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -548,7 +549,7 @@ def test_slice_commands_refuse_over_budget_up_front(capsys, monkeypatch, argv):
 def test_decompose_overlap_is_a_failed_claim(capsys, monkeypatch):
     # Every cell claims the apex, so the cells no longer partition the slice.
     monkeypatch.setattr(
-        cli, "enumerate_slice", lambda spec, budget: [SimpleNamespace(v=(0, 0))]
+        geometry, "enumerate_slice", lambda spec, budget: [SimpleNamespace(v=(0, 0))]
     )
     code, out, err = run_cli(capsys, "decompose", "--r", "2", "--n", "2", "--k", "1")
     assert code == 1
@@ -610,6 +611,83 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+COMMAND_BASE = {"wreath_identity", "cli", "errors", "wreath"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, extra",
+    [
+        (("table", "--r", "2", "--n", "3"), 0, set()),
+        (("verify", "--r", "3", "--n", "7"), 3, set()),  # refused by the group order
+        (("figure", "--r", "2", "--n", "2", "--k", "2"), 0, {"poly", "geometry"}),
+        (("decompose", "--r", "2", "--n", "2", "--k", "1"), 0, {"poly", "geometry"}),
+        (("verify", "--r", "2", "--n", "3"), 0, {"poly", "identity"}),
+        (("verify", "--all-steps", "--r", "2", "--n", "2"), 0, {"poly", "geometry", "identity"}),
+    ],
+    ids=["table", "verify-refused", "figure", "decompose", "verify", "all-steps"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, code, extra):
+    # Every command is a fresh process, and without a bytecode cache each
+    # module it imports is compiled from source.
+    script = (
+        "import os, sys; sys.path.insert(0, sys.argv[1]); from wreath_identity import cli; "
+        "code = cli.main(sys.argv[2:] + ['--out', os.devnull]); "
+        "print(code, *sorted(name for name in sys.modules if name.startswith('wreath_identity')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(ROOT / "src"), *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, *modules = proc.stdout.split()
+    assert int(exit_code) == code, proc.stderr
+    loaded = {name.removeprefix("wreath_identity.") for name in modules}
+    assert loaded == COMMAND_BASE | extra
+
+
+# Every name the package exported, by the module it was imported from, when
+# its __init__ imported all four modules up front.
+PACKAGE_EXPORTS = {
+    "poly": (
+        "CoefficientOverflowError Monomial TruncatedPoly compare_product expand_denominator "
+        "first_difference lhs_base lhs_term mul_by_terms q_integer u_integer"
+    ),
+    "wreath": (
+        "BudgetExceededError ColoredPermutation DEFAULT_BUDGET EpsilonVector col "
+        "colored_window des descent_set enumerate_group g_epsilon g_epsilon_gf group_order "
+        "maj numerator ordinary_descent_set"
+    ),
+    "geometry": (
+        "CubeSliceSpec LatticePoint cone_sum cone_sum_by_enumeration delta_membership "
+        "enumerate_slice figure_grid find_simplex full_slice_sum m m_prime "
+        "slice_membership slice_sum"
+    ),
+    "identity": (
+        "Partition VerificationReport composition_to_partition descent_shift_check "
+        "find_pi_for_composition omega_map rho verify_corollary verify_lemma_same_support "
+        "verify_lemma_triple_preserving verify_prop_few_colors verify_theorem"
+    ),
+}
+
+
+def test_package_exports_every_name_it_exported_before():
+    import wreath_identity
+
+    star: dict = {}
+    exec("from wreath_identity import *", star)
+    for module_name, names in PACKAGE_EXPORTS.items():
+        module = importlib.import_module(f"wreath_identity.{module_name}")
+        for name in names.split():
+            assert getattr(wreath_identity, name) is getattr(module, name), name
+            assert star[name] is getattr(module, name), name
+            assert name in dir(wreath_identity), name
+            assert name in wreath_identity.__all__, name
+    assert wreath_identity.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'cmd_verify'"):
+        wreath_identity.cmd_verify
 
 
 def test_traced_child_reproduces_untraced_stdout(capsys):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from wreath_identity import identity, poly, wreath
+from wreath_identity import geometry, identity, poly, wreath
 from wreath_identity.poly import (
     CoefficientOverflowError,
     Monomial,
@@ -345,7 +345,7 @@ def test_a_wrong_letter_key_fails_same_support_with_colors_by_position(monkeypat
 
 
 def test_a_wrong_cone_sum_fails_same_support_with_its_first_pair(monkeypatch):
-    factorised = identity.cone_sum
+    factorised = geometry.cone_sum
 
     def cone_sum(eps, cap, budget):
         total = factorised(eps, cap, budget)
@@ -353,7 +353,7 @@ def test_a_wrong_cone_sum_fails_same_support_with_its_first_pair(monkeypatch):
             total = total + TruncatedPoly.term(cap, 1, q=1, t=2)
         return total
 
-    monkeypatch.setattr(identity, "cone_sum", cone_sum)
+    monkeypatch.setattr(geometry, "cone_sum", cone_sum)
     report = verify_lemma_same_support(3, 3, cap=5)
     assert not report.ok
     assert report.counterexample == {
@@ -465,12 +465,12 @@ def test_a_wrong_letter_key_fails_the_corollary(monkeypatch, eps):
 
 
 def test_a_wrong_factorised_cone_sum_fails_few_colors_and_corollary(monkeypatch):
-    factorised = identity.cone_sum
+    factorised = geometry.cone_sum
 
     def cone_sum(eps, cap, budget):
         return factorised(eps, cap, budget) + TruncatedPoly.term(cap, 1, q=1, t=cap)
 
-    monkeypatch.setattr(identity, "cone_sum", cone_sum)
+    monkeypatch.setattr(geometry, "cone_sum", cone_sum)
     report = verify_prop_few_colors(2, 3, cap=5)
     assert not report.ok
     assert report.counterexample == {
