@@ -4,14 +4,13 @@ Every command is deterministic: byte-identical output for identical
 configuration (report timings are zeroed on emission for this reason).
 Exit codes: 0 all checks pass, 1 a verified claim failed, 2 usage or
 precondition error, 3 enumeration budget exceeded or coefficient overflow.
-:class:`RunConfig` is a :class:`~wreath_identity.wreath.Frozen` value: every
-command is a fresh process, and importing ``dataclasses`` would cost each one.
-For the same reason a command imports :mod:`~wreath_identity.geometry` and
-:mod:`~wreath_identity.identity` only when it runs, after its up-front
-refusals: ``table`` and a refused ``verify`` compile neither, nor the
-polynomial kernel, and ``verify`` without ``--all-steps`` never compiles
-``geometry``.  A name is read from its module at call time, so a wrapper or
-test double set on that module takes effect.
+Every command is a fresh process, so a command imports
+:mod:`~wreath_identity.geometry` and :mod:`~wreath_identity.identity` only
+when it runs, after its up-front refusals: ``table`` and a refused
+``verify`` compile neither, nor the polynomial kernel, and ``verify``
+without ``--all-steps`` never compiles ``geometry``.  A name is read from
+its module at call time, so a wrapper or test double set on that module
+takes effect.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .wreath import (
     DEFAULT_BUDGET,
     ColoredPermutation,
     EpsilonVector,
-    Frozen,
+    check_count,
     check_group_order,
     color_classes,
     descent_set,
@@ -50,52 +49,6 @@ class UsageError(ValueError):
 
 class ClaimFailedError(RuntimeError):
     """A checked claim that has no report to carry its failure (exit 1)."""
-
-
-class RunConfig(Frozen):
-    """One command's validated parameters."""
-
-    __slots__ = ("r", "n", "t_cap", "budget", "format", "out", "k", "all_steps", "filter_eps")
-
-    def __init__(
-        self,
-        r: int,
-        n: int,
-        t_cap: int,
-        budget: int = DEFAULT_BUDGET,
-        format: str = "json",
-        out: str | None = None,
-        k: int | None = None,
-        all_steps: bool = False,
-        filter_eps: str | None = None,
-    ):
-        if r < 1:
-            raise UsageError(f"--r must be >= 1, got {r}")
-        if n < 1:
-            raise UsageError(f"--n must be >= 1, got {n}")
-        if t_cap < 0:
-            raise UsageError(f"--t-cap must be >= 0, got {t_cap}")
-        if budget < 1:
-            raise UsageError(f"--budget must be >= 1, got {budget}")
-        if k is not None and k < 0:
-            raise UsageError(f"--k must be >= 0, got {k}")
-        values = (r, n, t_cap, budget, format, out, k, all_steps, filter_eps)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> RunConfig:
-        return cls(
-            r=args.r,
-            n=args.n,
-            t_cap=args.t_cap if args.t_cap is not None else args.n + 3,
-            budget=args.budget,
-            format=args.format,
-            out=args.out,
-            k=getattr(args, "k", None),
-            all_steps=getattr(args, "all_steps", False),
-            filter_eps=getattr(args, "filter_eps", None),
-        )
 
 
 # -- command implementations ---------------------------------------------------
@@ -139,9 +92,7 @@ def _indented(value, pad: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
-def _emit(
-    config: RunConfig, records: list, header: Sequence[str], rows: Iterable[Sequence]
-) -> str:
+def _emit(fmt: str, records: list, header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Render records as indented JSON, or as TSV: header, then one line per row.
 
     JSON goes through the one writer :func:`_indented`, whose text is
@@ -152,7 +103,7 @@ def _emit(
     this layout from texts made once per descent set and per color choice.
     Nor does ``figure`` in JSON, whose cells have one shape (:func:`cmd_figure`).
     """
-    if config.format == "json":
+    if fmt == "json":
         return _indented(records, "\n") + "\n"
     lines = itertools.chain([header], rows)
     return "".join("\t".join(map(str, fields)) + "\n" for fields in lines)
@@ -182,21 +133,21 @@ def all_step_reports(r, n, cap, budget) -> list[VerificationReport]:
     return reports
 
 
-def cmd_verify(config: RunConfig) -> tuple[int, str]:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     # Every run ends with the theorem, which refuses a group of more than
     # budget elements, and every all-steps run sums the cone of a cube up
     # to height t_cap (the l = 0 few-colors cube, at least); refuse before
     # any step does its work.
-    check_group_order(config.r, config.n, config.budget)
-    if config.all_steps:
+    check_group_order(args.r, args.n, args.budget)
+    if args.all_steps:
         from .geometry import check_cone_budget
 
-        check_cone_budget(config.n, config.t_cap, config.budget)
-        reports = all_step_reports(config.r, config.n, config.t_cap, config.budget)
+        check_cone_budget(args.n, args.t_cap, args.budget)
+        reports = all_step_reports(args.r, args.n, args.t_cap, args.budget)
     else:
         from .identity import verify_theorem
 
-        reports = [verify_theorem(config.r, config.n, config.t_cap, config.budget)]
+        reports = [verify_theorem(args.r, args.n, args.t_cap, args.budget)]
     code = EXIT_PASS if all(rep.ok for rep in reports) else EXIT_CLAIM_FAILED
     # Zero the timings: command output must be byte-identical across runs.
     records = [dict(rep.to_dict(), elapsed_ms=0.0) for rep in reports]
@@ -211,7 +162,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, str]:
         for d in records
     )
     header = ("claim", "status", "params", "counterexample", "elapsed_ms")
-    return code, _emit(config, records, header, rows)
+    return code, _emit(args.format, records, header, rows)
 
 
 class _DescentFragments(dict):
@@ -268,7 +219,7 @@ _TABLE_LAYOUT = {
 }
 
 
-def cmd_table(config: RunConfig) -> tuple[int, str]:
+def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     """One row per window pi^colors: pi in lexicographic order, then the colors.
 
     Each row is its window's text, the Des/maj/des text of its descent set
@@ -277,23 +228,23 @@ def cmd_table(config: RunConfig) -> tuple[int, str]:
     makes at most 2^(n-1) * 2^n ``descent_set`` calls and renders each
     descent set once; col texts are made once per list of color choices.
     """
-    n = config.n
+    n = args.n
     perms = itertools.permutations(range(1, n + 1))
-    if config.filter_eps is not None:
-        eps = _parse_eps(config.filter_eps, config.r, n)
-        check_group_order(1, n, config.budget)  # G_eps has n! windows
+    if args.filter_eps is not None:
+        eps = _parse_eps(args.filter_eps, args.r, n)
+        check_group_order(1, n, args.budget)  # G_eps has n! windows
         cols = [str(sum(eps))]
         walk = (
             (pi, [(eps[v - 1],) for v in pi], [tuple(min(eps[v - 1], 1) for v in pi)], cols)
             for pi in perms
         )
     else:
-        check_group_order(config.r, n, config.budget)
-        every = [range(config.r)] * n
-        supports = list(itertools.product([min(c, 1) for c in range(config.r)], repeat=n))
+        check_group_order(args.r, n, args.budget)
+        every = [range(args.r)] * n
+        supports = list(itertools.product([min(c, 1) for c in range(args.r)], repeat=n))
         cols = list(map(str, map(sum, itertools.product(*every))))
         walk = ((pi, every, supports, cols) for pi in perms)
-    head, row, sep, tail, render = _TABLE_LAYOUT[config.format]
+    head, row, sep, tail, render = _TABLE_LAYOUT[args.format]
     by_pattern: dict[tuple[bool, ...], _DescentFragments] = {}
     parts = [head]
     for pi, choices, supports, cols in walk:
@@ -318,30 +269,33 @@ _FIGURE_CELL = (
 )
 
 
-def cmd_figure(config: RunConfig) -> tuple[int, str]:
+def cmd_figure(args: argparse.Namespace) -> tuple[int, str]:
     """The n = 2 grid of point weights; a JSON cell is one format of _FIGURE_CELL."""
-    if config.n != 2:
-        raise UsageError(f"figure grids are only defined for n = 2, got n={config.n}")
+    if args.n != 2:
+        raise UsageError(f"figure grids are only defined for n = 2, got n={args.n}")
     from .geometry import check_grid_budget, figure_grid
 
-    check_grid_budget(config.r, config.n, config.k, config.budget)
-    grid = figure_grid(config.r, config.k)
+    check_grid_budget(args.r, args.n, args.k, args.budget)
+    grid = figure_grid(args.r, args.k)
     rows = ((*cell["v"], cell["monomial"]["q"], cell["monomial"]["u"]) for cell in grid)
-    if config.format == "json":
+    if args.format == "json":
         cells = ",\n  ".join(itertools.starmap(_FIGURE_CELL.format, rows))
         return EXIT_PASS, "[\n  " + cells + "\n]\n"
-    return EXIT_PASS, _emit(config, grid, ("v1", "v2", "q", "u"), rows)
+    return EXIT_PASS, _emit(args.format, grid, ("v1", "v2", "q", "u"), rows)
 
 
-def cmd_decompose(config: RunConfig) -> tuple[int, str]:
+def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
     from .geometry import CubeSliceSpec, check_grid_budget, enumerate_slice
 
-    expected = check_grid_budget(config.r, config.n, config.k, config.budget)
+    expected = check_grid_budget(args.r, args.n, args.k, args.budget)
+    # One cell per color vector; for k >= 1 the grid count already exceeds r^n.
+    cubes = itertools.repeat(args.r, args.n)
+    check_count("cube count {}", cubes, f"{args.r}^{args.n}", args.budget)
     cells = []
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for colors in itertools.product(range(config.r), repeat=config.n):
-        spec = CubeSliceSpec(EpsilonVector(colors), config.k)
-        points = [p.v for p in enumerate_slice(spec, config.budget)]
+    for colors in itertools.product(range(args.r), repeat=args.n):
+        spec = CubeSliceSpec(EpsilonVector(colors), args.k)
+        points = [p.v for p in enumerate_slice(spec, args.budget)]
         for v in points:
             if v in seen:
                 raise ClaimFailedError(
@@ -358,7 +312,7 @@ def cmd_decompose(config: RunConfig) -> tuple[int, str]:
         for cell in cells
         for v in cell["points"]
     )
-    return EXIT_PASS, _emit(config, cells, ("eps", "v"), rows)
+    return EXIT_PASS, _emit(args.format, cells, ("eps", "v"), rows)
 
 
 # -- argument handling ----------------------------------------------------------
@@ -429,6 +383,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _validated(args: argparse.Namespace) -> argparse.Namespace:
+    """Range-check the parsed flags in order; ``t_cap`` defaults to n + 3.
+
+    ``k`` is checked only for the commands that define it.
+    """
+    if args.r < 1:
+        raise UsageError(f"--r must be >= 1, got {args.r}")
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.t_cap is None:
+        args.t_cap = args.n + 3
+    if args.t_cap < 0:
+        raise UsageError(f"--t-cap must be >= 0, got {args.t_cap}")
+    if args.budget < 1:
+        raise UsageError(f"--budget must be >= 1, got {args.budget}")
+    if "k" in args and args.k < 0:
+        raise UsageError(f"--k must be >= 0, got {args.k}")
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -436,8 +410,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exit_:  # argparse already printed the message
         return int(exit_.code or 0)
     try:
-        config = RunConfig.from_args(args)
-        code, text = args.run(config)
+        code, text = args.run(_validated(args))
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -447,11 +420,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (BudgetExceededError, CoefficientOverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BUDGET
-    if config.out is None:
+    if args.out is None:
         sys.stdout.write(text)
         return code
     try:
-        with open(config.out, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as err:
         print(f"error: cannot write --out: {err}", file=sys.stderr)

@@ -30,10 +30,11 @@ from operator import itemgetter
 
 from .poly import Monomial, TruncatedPoly
 from .wreath import (
-    BudgetExceededError,
     DEFAULT_BUDGET,
     EpsilonVector,
     Frozen,
+    capped_product,
+    check_count,
     ordinary_descent_set,
 )
 
@@ -186,11 +187,19 @@ def check_cone_budget(n: int, cap: int, budget: int) -> None:
     """
     if cap < 0:
         raise ValueError(f"t_cap must be nonnegative, got {cap}")
-    if (cap + 1) ** n > budget:
-        k = next(k for k in range(cap + 1) if (k + 1) ** n > budget)
-        raise BudgetExceededError(
-            f"slice of size up to {(k + 1) ** n} exceeds budget {budget}"
-        )
+
+    def fits(k: int) -> bool:
+        return capped_product(itertools.repeat(k + 1, n), budget) <= budget
+
+    if not fits(cap):
+        # Bisect for that height: with b the bit length of budget, the
+        # height 2^(b // n + 1) does not fit, since its n-th power has more bits.
+        lo, hi = 0, min(cap, 2 << budget.bit_length() // max(n, 1))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if fits(mid) else (lo, mid)
+        sizes = itertools.repeat(lo + 1, n)
+        check_count("slice of size up to {}", sizes, f"({lo} + 1)^{n}", budget)
 
 
 def cone_sum(
@@ -229,10 +238,8 @@ def _interval_power(color: int, count: int, k: int, cap: int) -> TruncatedPoly:
 
 def check_grid_budget(r: int, n: int, k: int, budget: int) -> int:
     """Point count (k*r + 1)^n of the slice ([0, kr]^n, k); refuses more than budget."""
-    points = (k * r + 1) ** n
-    if points > budget:
-        raise BudgetExceededError(f"grid of {points} points exceeds budget {budget}")
-    return points
+    points = itertools.repeat(k * r + 1, n)
+    return check_count("grid of {} points", points, f"({k}*{r} + 1)^{n}", budget)
 
 
 def full_slice_sum(

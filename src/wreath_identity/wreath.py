@@ -20,12 +20,12 @@ reindexing, because it permutes each letter's key together with its color.
 
 Both are :class:`Frozen` values: immutable ``__slots__`` classes with
 dataclass-style ``==``, ``hash`` and ``repr``.  The package's other value
-types (``CubeSliceSpec``, ``Partition``, ``VerificationReport`` and the
-CLI's ``RunConfig``) derive from it too, so importing the package loads
-neither ``dataclasses`` nor the ``inspect`` it imports.  Only the three
-functions that build polynomials (:func:`_window_tally`,
-:func:`g_epsilon_gf` and :func:`numerator`) import
-:mod:`~wreath_identity.poly`, so ``table`` never compiles it.
+types (``CubeSliceSpec``, ``Partition`` and ``VerificationReport``) derive
+from it too, so importing the package loads neither ``dataclasses`` nor
+the ``inspect`` it imports.  Only the three functions that build
+polynomials (:func:`_window_tally`, :func:`g_epsilon_gf` and
+:func:`numerator`) import :mod:`~wreath_identity.poly`, so ``table``
+never compiles it.
 """
 
 from __future__ import annotations
@@ -237,6 +237,43 @@ def group_order(r: int, n: int) -> int:
     return r**n * math.factorial(n)
 
 
+# By default CPython refuses to print an int of more than 4300 digits
+# (sys.get_int_max_str_digits), so a refusal names such a count by formula.
+_PRINTABLE_COUNT = 10**4300
+
+
+def capped_product(factors: Iterable[int], cap: int) -> int:
+    """The product of factors (ints >= 1), or its first partial product above cap."""
+    total = 1
+    for factor in factors:
+        total *= factor
+        if total > cap:
+            break
+    return total
+
+
+def check_count(noun: str, factors: Iterable[int], formula: str, budget: int) -> int:
+    """The product of factors (ints >= 1); BudgetExceededError if it exceeds budget.
+
+    The message names the count through the one ``{}`` field of ``noun``:
+    in digits when it has at most 4300 of them, else by ``formula``.  The
+    product stops at the first factor that takes it past both budget and
+    10^4300, so a count is never multiplied out, nor printed, past that.
+
+    >>> check_count("group order {}", [2, 4, 6], "2^3 * 3!", 100)
+    48
+    >>> check_count("grid of {} points", itertools.repeat(10, 10**9), "10^(10^9)", 10)
+    Traceback (most recent call last):
+    ...
+    wreath_identity.wreath.BudgetExceededError: grid of 10^(10^9) points exceeds budget 10
+    """
+    total = capped_product(factors, max(budget, _PRINTABLE_COUNT - 1))
+    if total <= budget:
+        return total
+    count = str(total) if total < _PRINTABLE_COUNT else formula
+    raise BudgetExceededError(f"{noun.format(count)} exceeds budget {budget}")
+
+
 def check_group_order(r: int, n: int, budget: int) -> None:
     """Raise BudgetExceededError when r^n * n! exceeds budget.
 
@@ -245,9 +282,7 @@ def check_group_order(r: int, n: int, budget: int) -> None:
     """
     if r < 1 or n < 1:
         raise ValueError(f"r and n must be positive, got r={r}, n={n}")
-    total = group_order(r, n)
-    if total > budget:
-        raise BudgetExceededError(f"group order {total} exceeds budget {budget}")
+    check_count("group order {}", (r * i for i in range(1, n + 1)), f"{r}^{n} * {n}!", budget)
 
 
 def enumerate_group(

@@ -23,6 +23,7 @@ from wreath_identity.wreath import (
     des,
     descent_set,
     g_epsilon,
+    group_order,
     maj,
     numerator,
 )
@@ -67,6 +68,54 @@ def test_verify_budget_exceeded(capsys):
     code, _, err = run_cli(capsys, "verify", "--r", "3", "--n", "7", "--t-cap", "-1")
     assert code == 2
     assert "--t-cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "--r", "0", "--n", "0", "--budget", "0"), "--r must be >= 1, got 0"),
+        (("table", "--r", "1", "--n", "-2", "--t-cap", "-1"), "--n must be >= 1, got -2"),
+        (("verify", "--r", "1", "--n", "2", "--t-cap", "-1", "--budget", "0"),
+         "--t-cap must be >= 0, got -1"),
+        (("decompose", "--r", "1", "--n", "2", "--budget", "-5", "--k", "-1"),
+         "--budget must be >= 1, got -5"),
+        (("figure", "--r", "1", "--n", "2", "--k", "-1"), "--k must be >= 0, got -1"),
+    ],
+    ids=["r", "n", "t-cap", "budget", "k"],
+)
+def test_usage_errors_name_the_first_bad_flag(capsys, argv, message):
+    # Flags are checked in the order r, n, t-cap, budget, k.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "--r", "1", "--n", "1559"), "group order 1^1559 * 1559! exceeds"),
+        (("verify", "--r", "2", "--n", "1000000"),
+         "group order 2^1000000 * 1000000! exceeds"),
+        (("table", "--r", "2", "--n", "5000"), "group order 2^5000 * 5000! exceeds"),
+        (("decompose", "--r", "1", "--n", "20000", "--k", "1"),
+         "grid of (1*1 + 1)^20000 points exceeds"),
+    ],
+    ids=["verify", "verify-huge", "table", "decompose"],
+)
+def test_a_count_past_4300_digits_is_refused_by_its_formula(capsys, argv, message):
+    # str() refuses such a count, so the refusal names it without building it.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message} budget 10000000\n"
+
+
+def test_a_count_of_4300_digits_is_refused_in_full(capsys):
+    code, _, err = run_cli(capsys, "verify", "--r", "1", "--n", "1558")
+    assert code == 3
+    count = err.removeprefix("error: group order ").partition(" ")[0]
+    assert len(count) == 4300 and int(count) == group_order(1, 1558)
 
 
 def test_verify_refuses_before_any_step(capsys, monkeypatch):
@@ -544,6 +593,23 @@ def test_slice_commands_refuse_over_budget_up_front(capsys, monkeypatch, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "budget" in err
+
+
+def test_decompose_refuses_more_cubes_than_budget_up_front(capsys, monkeypatch):
+    # At k = 0 the grid is the apex alone, but there is one cell per color vector.
+    def fail(*args):
+        raise AssertionError("a cube was enumerated before the budget refusal")
+
+    monkeypatch.setattr(geometry, "enumerate_slice", fail)
+    argv = ("decompose", "--r", "2", "--n", "16", "--k", "0", "--budget", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: cube count 65536 exceeds budget 1\n"
+    # The grid count comes first, and for k >= 1 it exceeds the cube count.
+    argv = ("decompose", "--r", "2", "--n", "2", "--k", "1", "--budget", "3")
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (3, "error: grid of 9 points exceeds budget 3\n")
 
 
 def test_decompose_overlap_is_a_failed_claim(capsys, monkeypatch):

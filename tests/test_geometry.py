@@ -8,6 +8,7 @@ from wreath_identity.wreath import BudgetExceededError, EpsilonVector
 from wreath_identity.geometry import (
     CubeSliceSpec,
     LatticePoint,
+    check_cone_budget,
     cone_sum,
     cone_sum_by_enumeration,
     delta_membership,
@@ -269,6 +270,25 @@ def test_cone_sum_refuses_exactly_past_the_budget(cone):
         BudgetExceededError, match="slice of size up to 64 exceeds budget 30$"
     ):
         cone(eps, 4, budget=30)
+
+
+def test_cone_budget_names_the_lowest_height_that_does_not_fit():
+    def scan(n, cap, budget):  # the first height, walked up from 0
+        k = next(k for k in range(cap + 1) if (k + 1) ** n > budget)
+        return f"slice of size up to {(k + 1) ** n} exceeds budget {budget}"
+
+    for n in range(1, 6):
+        for cap in range(12):
+            for budget in [*range(1, 90), 4095, 4096, 10**7]:
+                if (cap + 1) ** n <= budget:
+                    check_cone_budget(n, cap, budget)
+                    continue
+                with pytest.raises(BudgetExceededError) as refusal:
+                    check_cone_budget(n, cap, budget)
+                assert str(refusal.value) == scan(n, cap, budget), (n, cap, budget)
+    # A height found by bisection, not by walking 10^30 heights.
+    with pytest.raises(BudgetExceededError, match=f"up to {10**30 + 1} exceeds budget"):
+        check_cone_budget(1, 10**40, 10**30)
 
 
 def test_cone_sum_apex_only():

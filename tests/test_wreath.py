@@ -28,7 +28,6 @@ from wreath_identity.wreath import (
     _window_tally,
 )
 
-from wreath_identity.cli import RunConfig, UsageError
 from wreath_identity.geometry import CubeSliceSpec
 from wreath_identity.identity import Partition, VerificationReport
 
@@ -402,15 +401,6 @@ VALUE_TYPES = [
         lambda: VerificationReport("theorem", {}, "maybe", None, 0.0),
         ValueError,
         "status must be pass or fail, got 'maybe'",
-    ),
-    (
-        ("r", "n", "t_cap", "budget", "format", "out", "k", "all_steps", "filter_eps"),
-        lambda: RunConfig(2, 3, 6, k=1),
-        "RunConfig(r=2, n=3, t_cap=6, budget=10000000, format='json', out=None, k=1, "
-        "all_steps=False, filter_eps=None)",
-        lambda: RunConfig(2, 3, 6, budget=0),
-        UsageError,
-        "--budget must be >= 1, got 0",
     ),
 ]
 VALUE_IDS = [text.partition("(")[0] for _, _, text, *_ in VALUE_TYPES]
