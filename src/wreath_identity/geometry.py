@@ -11,12 +11,13 @@ the composition bijection reads through rho.  It compares integers only.
 
 A cube's slice is a product of coordinate intervals and a point's weight
 is t^k times a product of coordinate weights, so :func:`cone_sum` expands
-each slice as a product of per-coordinate interval sums, without visiting
-its lattice points.  :func:`cone_sum_by_enumeration` visits every point
-and is the oracle it is checked against: per height it builds one table of
-the coordinate weights m'(j, k), packed as the int q*span + u, and weighs
-each point of :func:`enumerate_slice` by summing its coordinates' entries,
-so it does not rely on distributivity.  :class:`CubeSliceSpec` is a
+each slice as a product of per-coordinate interval sums, one
+``slice_product`` per height, without visiting its lattice points.
+:func:`cone_sum_by_enumeration` visits every point and is the oracle it is
+checked against: per height it builds one table of the coordinate weights
+m'(j, k), packed as the int q*span + u, and weighs each point of
+:func:`enumerate_slice` by summing its coordinates' entries, so it does not
+rely on distributivity.  :class:`CubeSliceSpec` is a
 :class:`~wreath_identity.wreath.Frozen` value.
 """
 
@@ -28,7 +29,7 @@ import itertools
 from collections.abc import Iterator, Sequence
 from operator import itemgetter
 
-from .poly import Monomial, TruncatedPoly
+from .poly import Monomial, TruncatedPoly, slice_product
 from .wreath import (
     DEFAULT_BUDGET,
     EpsilonVector,
@@ -209,9 +210,11 @@ def cone_sum(
 
     Each height-k slice is the product of its coordinate intervals I_i and
     m = t^k * prod_i m', so by distributivity the slice sums to
-    t^k * prod_i sum_{j in I_i} m'(j, k).  The budget bounds the lattice
-    points this stands for, so it refuses exactly where
-    :func:`cone_sum_by_enumeration` does.
+    t^k * prod_i sum_{j in I_i} m'(j, k).  Coordinates of one color share
+    an interval, so a slice is one :func:`~wreath_identity.poly.slice_product`
+    of the distinct interval sums raised to their multiplicities.  The
+    budget bounds the lattice points this stands for, so it refuses exactly
+    where :func:`cone_sum_by_enumeration` does.
     """
     check_cone_budget(eps.n, cap, budget)
     # The product over coordinates does not depend on their order.
@@ -220,20 +223,21 @@ def cone_sum(
 
 @functools.lru_cache(maxsize=None)
 def _factorised_cone_sum(colors: tuple[int, ...], cap: int) -> TruncatedPoly:
+    counts = collections.Counter(colors).items()
     total = TruncatedPoly.zero(cap)
     for k in range(cap + 1):
-        term = TruncatedPoly.term(cap, 1, t=k)
-        for color, count in collections.Counter(colors).items():
-            term = term * _interval_power(color, count, k, cap)
-        total = total + term
+        intervals = [(_interval_sum(color, k, cap), count) for color, count in counts]
+        total = total + slice_product(intervals, k, cap)
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def _interval_power(color: int, count: int, k: int, cap: int) -> TruncatedPoly:
-    """(sum_{j in I} m'(j, k))^count, I the color's height-k interval; shared by every multiset."""
-    interval = TruncatedPoly(cap, ((m_prime(j, k), 1) for j in _cube_interval(color, k)))
-    return interval**count
+def _interval_sum(color: int, k: int, cap: int) -> TruncatedPoly:
+    """sum_{j in I} m'(j, k), I the color's height-k interval, on t-degree 0.
+
+    m'(., k) is one-to-one on I, so the terms are canonical as built.
+    """
+    weights = map(m_prime, _cube_interval(color, k), itertools.repeat(k))
+    return TruncatedPoly._trusted(cap, dict.fromkeys(weights, 1))
 
 
 def check_grid_budget(r: int, n: int, k: int, budget: int) -> int:

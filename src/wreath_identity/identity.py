@@ -33,16 +33,19 @@ import time
 from collections.abc import Sequence
 
 from .poly import (
+    Monomial,
     TruncatedPoly,
     compare_product,
     expand_denominator,
     first_difference,
     lhs_base,
     q_integer,
+    slice_product,
 )
 from .wreath import (
     DEFAULT_BUDGET,
     _descent_masks,
+    _key_tally,
     ColoredPermutation,
     EpsilonVector,
     Frozen,
@@ -51,6 +54,7 @@ from .wreath import (
     colored_window,
     descent_set,
     few_colors_eps,
+    few_colors_pieces,
     g_epsilon,
     g_epsilon_gf,
     numerator,
@@ -380,14 +384,20 @@ def _lowered(poly: TruncatedPoly, u: int) -> dict[tuple[int, int, int], int]:
     return {(q, t, e - u): c for (q, t, e), c in poly.terms.items()}
 
 
-_group_sides: dict[tuple[tuple[int, ...], int], TruncatedPoly] = {}
+_group_sides: dict[tuple[frozenset, int, int], TruncatedPoly] = {}
 
 
 def _group_side_at_u0(eps: EpsilonVector, cap: int) -> TruncatedPoly:
-    """GF(G_eps) * expand_denominator(n, cap) divided by u^col, kept per (key tuple, cap)."""
-    key = (tuple(map(bz_sort_key, range(1, eps.n + 1), eps.colors)), cap)
+    """GF(G_eps) * expand_denominator(n, cap) divided by u^col, kept per (maj, des) tally, n and cap.
+
+    The tally is :func:`~wreath_identity.wreath._key_tally`'s, of the letter
+    keys of eps.  Every G_eps with l colored letters has the tally of
+    G_(1^l, 0^(n-l)), so the cache holds at most n+1 products per (n, cap).
+    """
+    tally = _key_tally(tuple(map(bz_sort_key, range(1, eps.n + 1), eps.colors)))
+    key = (frozenset(tally), eps.n, cap)
     if key not in _group_sides:
-        at_u0 = TruncatedPoly(cap, _lowered(g_epsilon_gf(eps, cap), eps.col()))
+        at_u0 = TruncatedPoly(cap, ((Monomial(q, d, 0), count) for (q, d), count in tally))
         _group_sides[key] = at_u0 * expand_denominator(eps.n, cap)
     return _group_sides[key]
 
@@ -400,13 +410,17 @@ def _group_side(eps: EpsilonVector, cap: int) -> TruncatedPoly:
 def verify_prop_few_colors(
     l: int, n: int, cap: int, budget: int = DEFAULT_BUDGET
 ) -> VerificationReport:
-    """Cone sum of the (1^l, 0^(n-l)) cube, four ways.
+    """Cone sum of the (1^l, 0^(n-l)) cube, four ways, and the numerator's piece.
 
     The cone sum by lattice-point enumeration is the geometric side.  It
-    must equal the closed form u^l sum_k [k]_q^l [k+1]_q^(n-l) t^k, the
-    G_eps generating function over the expanded denominator, and the
-    factorised :func:`cone_sum` that every other step uses.  These n+1
-    cubes are the only ones whose lattice points a run enumerates.
+    must equal the closed form u^l sum_k [k]_q^l [k+1]_q^(n-l) t^k, one
+    ``slice_product`` per height, the G_eps generating function over the
+    expanded denominator, and the factorised :func:`cone_sum` that every
+    other step uses.  These n+1 cubes are the only ones whose lattice
+    points a run enumerates.  Last, the piece u^l F_l that
+    :func:`~wreath_identity.wreath.numerator` takes from the first-letter
+    recursion (:func:`~wreath_identity.wreath.few_colors_pieces`) must
+    equal the walked :func:`g_epsilon_gf`.
     """
     from .geometry import cone_sum, cone_sum_by_enumeration
 
@@ -415,19 +429,17 @@ def verify_prop_few_colors(
     eps = few_colors_eps(l, n)
     geometric = cone_sum_by_enumeration(eps, cap, budget)
 
+    u = TruncatedPoly.term(cap, 1, u=1)
     closed = TruncatedPoly.zero(cap)
     for k in range(cap + 1):
-        closed = closed + (
-            q_integer(k, cap) ** l
-            * q_integer(k + 1, cap) ** (n - l)
-            * TruncatedPoly.term(cap, 1, t=k)
-        )
-    closed = closed * TruncatedPoly.term(cap, 1, u=l)
+        factors = [(q_integer(k, cap), l), (q_integer(k + 1, cap), n - l), (u, l)]
+        closed = closed + slice_product(factors, k, cap)
 
     sides = (
         ("closed_form", geometric, closed),
         ("group_side", geometric, _group_side(eps, cap)),
         ("factorised", cone_sum(eps, cap, budget), geometric),
+        ("numerator_piece", g_epsilon_gf(eps, cap), few_colors_pieces(n, cap)[l]),
     )
     for part, lhs, rhs in sides:
         report = report_from_comparison(

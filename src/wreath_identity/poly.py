@@ -23,13 +23,17 @@ array is range-checked once through its least and greatest word, and only
 the words that differ from the bias are decoded into monomials.  A product
 by a single term is a shift of the other operand, with no packing.
 
-A power of a polynomial on one t-degree is one pack, one big-int power and
-one readback, with slots sized from ||a||_1^(e-1) * ||a||_inf at any width;
-a result past the cap is zero without any arithmetic.  ``lhs_term`` reads
-its power back directly at t^k.  A power of a polynomial on several
-t-degrees, or of zero, is the chain of products 1 * a * ... * a.  A sum of
-polynomials with disjoint supports is the union of their term maps.
-``mul_by_terms`` keeps the term-pair loop as the oracle.
+A power product prod_i a_i^e_i * t^t of polynomials on t-degree 0 is
+``slice_product``: one pack per factor on one layout, big-int powers and
+products, and one readback at t^t, with slots sized from min_i ||a_i||_inf
+||a_i||_1^(e_i-1) prod_(j != i) ||a_j||_1^e_j at any width (for one factor,
+||a||_1^(e-1) * ||a||_inf); a result past the cap is zero without any
+arithmetic.  A power of a polynomial on one t-degree takes the same path,
+and ``lhs_term`` reads its power back directly at t^k.  A power of a
+polynomial on several t-degrees, or of zero, is the chain of products
+1 * a * ... * a.  A sum of polynomials with disjoint supports is the union
+of their term maps.  ``mul_by_terms`` keeps the term-pair loop as the
+oracle.
 
 The theorem's two sides, a * b and sum_k base_k^e t^k, are compared by
 ``compare_product`` without decoding either.  Both are packed on one slot
@@ -42,10 +46,10 @@ monomials only when a slice differs, for the counterexample.
 Coefficients are integers kept inside the signed 64-bit range; an operation
 whose result would leave that range raises CoefficientOverflowError instead
 of wrapping or growing silently.  Results are exact before this check, so a
-product, a sum, a power on one t-degree and a comparison are refused
-exactly when one of their coefficients leaves the range.  Only the chain
-for a power on several t-degrees can also be refused on an intermediate
-product.
+product, a sum, a power product on one t-degree and a comparison are
+refused exactly when one of their coefficients leaves the range.  Only the
+chain for a power on several t-degrees can also be refused on an
+intermediate product.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import array
 import collections
 import functools
 import itertools
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from operator import add, itemgetter, mul, sub
 
@@ -236,7 +241,7 @@ class TruncatedPoly:
         if e and len(degrees) == 1:
             (t,) = degrees
             return TruncatedPoly._trusted(
-                self.t_cap, _slice_power(self._terms, e, e * t, self.t_cap)
+                self.t_cap, _slice_product([(self._terms, e)], e * t, self.t_cap)
             )
         return functools.reduce(mul, itertools.repeat(self, e), TruncatedPoly.one(self.t_cap))
 
@@ -461,19 +466,54 @@ def _kronecker_product(
     return _decode(_packed_product(a, b, cap, layout), layout)
 
 
-def _slice_power(a: dict[Monomial, int], e: int, t: int, cap: int) -> dict[Monomial, int]:
-    """The canonical terms of a ** e, for nonzero a on one t-degree, at t-exponent t.
+def _slice_product(
+    factors: Sequence[tuple[dict[Monomial, int], int]], t: int, cap: int
+) -> dict[Monomial, int]:
+    """The canonical terms of prod_i a_i ** e_i at t-exponent t, each a_i on one t-degree.
 
-    One pack, one big-int power and one readback, in slots of the width
-    ``_slot_width`` gives ``_power_bound``, at any width.  Every coefficient
-    is range-checked on readback, so the power is refused exactly when one
-    of them leaves the signed 64-bit range.
+    Each factor is packed once on one layout, the powers and their product
+    are big ints, and the result is read back once.  No coefficient of the
+    product exceeds min_i ||a_i||_inf ||a_i||_1^(e_i-1) prod_(j != i)
+    ||a_j||_1^e_j, so the slots ``_slot_width`` gives that bound hold it at
+    any width; for a single factor the bound is ``_power_bound``.  Every
+    coefficient is range-checked on readback, so the product is refused
+    exactly when one of them leaves the signed 64-bit range.  A result past
+    the cap, or with a zero factor, is zero without any arithmetic.
     """
-    if t > cap:
+    factors = [(a, e) for a, e in factors if e]
+    if t > cap or not all(a for a, _ in factors):
         return {}
-    layout = (e * _max_u(a) + 1, *_slot_width(_power_bound(a, e)))
-    (x,) = _pack(a, layout).values()
-    return _decode({t: x**e}, layout)
+    # (||a||_1, ||a||_inf, e) per factor.
+    norms = [(sum(map(abs, a.values())), max(map(abs, a.values())), e) for a, e in factors]
+    total = math.prod(l1**e for l1, _, e in norms)
+    bound = min((total // l1 * top for l1, top, _ in norms), default=1)
+    layout = (sum(e * _max_u(a) for a, e in factors) + 1, *_slot_width(bound))
+    packed = (next(iter(_pack(a, layout).values())) ** e for a, e in factors)
+    return _decode({t: math.prod(packed)}, layout)
+
+
+def slice_product(
+    factors: Sequence[tuple[TruncatedPoly, int]], t: int, cap: int
+) -> TruncatedPoly:
+    """prod_i a_i ** e_i * t^t, for factors (a_i, e_i) that each lie on t-degree 0.
+
+    One pack per factor, big-int powers and products, one readback
+    (``_slice_product``): refused exactly when a coefficient of the result
+    leaves int64, and zero without any arithmetic when t > cap.
+
+    >>> slice_product([(q_integer(2, 3), 2), (u_integer(2, 3), 1)], 1, 3)
+    <TruncatedPoly cap=3: t + t*u + 2*q*t + 2*q*t*u + q^2*t + q^2*t*u>
+    """
+    if not _is_int(t) or t < 0:
+        raise ValueError(f"t-exponent must be a nonnegative integer, got {t}")
+    for a, e in factors:
+        if a.t_cap != cap:
+            raise ValueError(f"t_cap mismatch: {a.t_cap} vs {cap}")
+        if not _is_int(e) or e < 0:
+            raise ValueError(f"exponent must be a nonnegative integer, got {e}")
+        if any(map(_T, a._terms)):
+            raise ValueError("every factor must lie on t-degree 0")
+    return TruncatedPoly._trusted(cap, _slice_product([(a._terms, e) for a, e in factors], t, cap))
 
 
 def compare_product(
@@ -613,14 +653,14 @@ def lhs_base(r: int, k: int, cap: int) -> TruncatedPoly:
 def lhs_term(r: int, n: int, k: int, cap: int) -> TruncatedPoly:
     """The height-k summand ([k+1]_q + u [r-1]_u [k]_q)^n * t^k.
 
-    The base ``lhs_base`` lies on t-degree 0, so its n-th power is one power
-    on one t-degree, read back directly at t^k with no shift.
+    The base ``lhs_base`` lies on t-degree 0, so its n-th power is one
+    ``slice_product``, read back directly at t^k with no shift.
     """
     if r < 1 or n < 1:
         raise ValueError(f"r and n must be positive, got r={r}, n={n}")
     if k < 0 or k > cap:
         raise ValueError(f"k must lie in [0, cap], got k={k}, cap={cap}")
-    return TruncatedPoly._trusted(cap, _slice_power(lhs_base(r, k, cap)._terms, n, k, cap))
+    return slice_product([(lhs_base(r, k, cap), n)], k, cap)
 
 
 def first_difference(a: TruncatedPoly, b: TruncatedPoly) -> tuple[Monomial, int, int] | None:

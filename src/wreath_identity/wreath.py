@@ -22,10 +22,15 @@ Both are :class:`Frozen` values: immutable ``__slots__`` classes with
 dataclass-style ``==``, ``hash`` and ``repr``.  The package's other value
 types (``CubeSliceSpec``, ``Partition`` and ``VerificationReport``) derive
 from it too, so importing the package loads neither ``dataclasses`` nor
-the ``inspect`` it imports.  Only the three functions that build
-polynomials (:func:`_window_tally`, :func:`g_epsilon_gf` and
-:func:`numerator`) import :mod:`~wreath_identity.poly`, so ``table``
-never compiles it.
+the ``inspect`` it imports.  Only the four functions that build
+polynomials (:func:`_window_tally`, :func:`g_epsilon_gf`,
+:func:`few_colors_pieces` and :func:`numerator`) import
+:mod:`~wreath_identity.poly`, so ``table`` never compiles it.
+
+:func:`numerator` walks no window: its few-colors pieces come from
+Carlitz's q-Eulerian recursion refined by the first letter (Garsia and
+Gessel, 1979), :func:`few_colors_pieces`, which ``verify --all-steps``
+compares with the walked :func:`g_epsilon_gf`.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_BUDGET = 10_000_000
@@ -237,9 +243,14 @@ def group_order(r: int, n: int) -> int:
     return r**n * math.factorial(n)
 
 
-# By default CPython refuses to print an int of more than 4300 digits
-# (sys.get_int_max_str_digits), so a refusal names such a count by formula.
-_PRINTABLE_COUNT = 10**4300
+def _printable_digits() -> int:
+    """The most digits ``str`` prints of an int now, at most 4300, CPython's default.
+
+    ``sys.get_int_max_str_digits`` (0 for no limit) is missing before
+    Python 3.10.7, which prints any int; both read as 4300.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(limit or 4300, 4300)
 
 
 def capped_product(factors: Iterable[int], cap: int) -> int:
@@ -256,7 +267,8 @@ def check_count(noun: str, factors: Iterable[int], formula: str, budget: int) ->
     """The product of factors (ints >= 1); BudgetExceededError if it exceeds budget.
 
     The message names the count through the one ``{}`` field of ``noun``:
-    in digits when it has at most 4300 of them, else by ``formula``.  The
+    in digits when ``str`` prints them, at most 4300 and no more than
+    ``sys.get_int_max_str_digits()`` at call time, else by ``formula``.  The
     product stops at the first factor that takes it past both budget and
     10^4300, so a count is never multiplied out, nor printed, past that.
 
@@ -267,10 +279,11 @@ def check_count(noun: str, factors: Iterable[int], formula: str, budget: int) ->
     ...
     wreath_identity.wreath.BudgetExceededError: grid of 10^(10^9) points exceeds budget 10
     """
-    total = capped_product(factors, max(budget, _PRINTABLE_COUNT - 1))
+    printable = 10 ** _printable_digits()
+    total = capped_product(factors, max(budget, printable - 1))
     if total <= budget:
         return total
-    count = str(total) if total < _PRINTABLE_COUNT else formula
+    count = str(total) if total < printable else formula
     raise BudgetExceededError(f"{noun.format(count)} exceeds budget {budget}")
 
 
@@ -372,6 +385,76 @@ def _key_tally(keys: tuple[int, ...]) -> tuple[tuple[tuple[int, int], int], ...]
     return tuple(counts.items())
 
 
+def _running_sums(gs: list[collections.Counter]) -> tuple[list, list]:
+    """(below, above), with below[i] the sum of gs[:i] and above[i] that of gs[i:], i = 0..len(gs).
+
+    The counts are positive, so Counter addition, which drops what is not,
+    is exact.
+    """
+    below, above = [collections.Counter()], [collections.Counter()]
+    for g in gs:
+        below.append(below[-1] + g)
+    for g in reversed(gs):
+        above.append(above[-1] + g)
+    return below, above[::-1]
+
+
+def _raised(g: collections.Counter, cap: int) -> collections.Counter:
+    """q t g, as {(maj, des): count}, with the terms past t^cap dropped."""
+    return collections.Counter({(q + 1, d + 1): c for (q, d), c in g.items() if d < cap})
+
+
+def _first_letter_step(level: list[collections.Counter], cap: int) -> list[collections.Counter]:
+    """G_n(1), ..., G_n(n) from G_(n-1)(1), ..., G_(n-1)(n-1), each as {(maj, des): count}.
+
+    G_n(j) sums q^maj t^des over the sigma in S_n with sigma(1) = j.  Write
+    sigma = j tau, tau the rest standardised and b = tau(1): position 1
+    descends exactly when b < j, and every descent of tau moves up one
+    position, so
+
+        G_n(j)(q, t) = sum_{b<j} q t G_(n-1)(b)(q, q t) + sum_{b>=j} G_(n-1)(b)(q, q t).
+
+    des never falls along the recursion, so terms past t^cap are dropped
+    at every level.
+    """
+    # G(q, q t): every descent also adds one to maj.
+    substituted = [collections.Counter({(q + d, d): c for (q, d), c in g.items()}) for g in level]
+    below, above = _running_sums(substituted)
+    return [_raised(below[j - 1], cap) + above[j - 1] for j in range(1, len(level) + 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def few_colors_pieces(n: int, cap: int) -> tuple:
+    """GF(G_(1^l, 0^(n-l))) for l = 0..n, from the first-letter recursion, walking no window.
+
+    Under the colored-letter order the letters of G_(1^l, 0^(n-l)) rank
+    as the plain permutation rho o pi, whose descents are the window's at
+    positions 1..n-1 (:func:`~wreath_identity.identity.descent_shift_check`);
+    position 0 descends, adding to des but not to maj, exactly when the
+    first rank is at most l.  So, with G_n(j) from
+    :func:`_first_letter_step`,
+
+        GF(G_(1^l, 0^(n-l))) = u^l (t sum_{j<=l} G_n(j) + sum_{j>l} G_n(j)).
+
+    :func:`g_epsilon_gf` is its oracle.  The pieces are immutable, so they
+    are built once per (n, cap) and shared.
+    """
+    from .poly import Monomial, TruncatedPoly
+
+    level = [collections.Counter({(0, 0): 1})]  # G_1(1) = 1
+    for _ in range(1, n):
+        level = _first_letter_step(level, cap)
+    below, above = _running_sums(level)
+    return tuple(
+        TruncatedPoly(
+            cap,
+            [(Monomial(q, d + 1, l), c) for (q, d), c in below[l].items()]
+            + [(Monomial(q, d, l), c) for (q, d), c in above[l].items()],
+        )
+        for l in range(n + 1)
+    )
+
+
 def numerator(
     r: int, n: int, cap: int | None = None, budget: int = DEFAULT_BUDGET
 ) -> TruncatedPoly:
@@ -386,10 +469,11 @@ def numerator(
 
         C(n, l) [r-1]_u^l GF(G_(1^l, 0^(n-l))),
 
-    where GF carries u^l; with one color only l = 0 occurs.  The cost is
-    (n+1) * n! windows.  The budget still caps r^n * n!, the size of the
-    group this stands in for; :func:`numerator_by_enumeration` is the
-    brute-force oracle.
+    where GF carries u^l; with one color only l = 0 occurs.  The pieces
+    come from :func:`few_colors_pieces`, the first-letter recursion, in
+    O(n^2) polynomial additions; no window is walked.  The budget still
+    caps r^n * n!, the size of the group this stands in for;
+    :func:`numerator_by_enumeration` is the brute-force oracle.
 
     des never exceeds n, so any cap >= n (the default is n itself) captures
     the polynomial exactly.
@@ -400,10 +484,10 @@ def numerator(
     if cap is None:
         cap = n
     colors = u_integer(r - 1, cap)
+    pieces = few_colors_pieces(n, cap)
     total = TruncatedPoly.zero(cap)
     for l in few_colors_range(r, n):
-        piece = g_epsilon_gf(few_colors_eps(l, n), cap)
-        total = total + math.comb(n, l) * colors**l * piece
+        total = total + math.comb(n, l) * colors**l * pieces[l]
     return total
 
 

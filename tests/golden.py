@@ -15,8 +15,8 @@ def clear_caches():
     """Forget every cached result, so each is rebuilt under the current range check."""
     poly.expand_denominator.cache_clear()
     wreath._key_tally.cache_clear()
+    wreath.few_colors_pieces.cache_clear()
     geometry._factorised_cone_sum.cache_clear()
-    geometry._interval_power.cache_clear()
     identity._group_sides.clear()
 
 

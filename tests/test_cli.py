@@ -118,6 +118,30 @@ def test_a_count_of_4300_digits_is_refused_in_full(capsys):
     assert len(count) == 4300 and int(count) == group_order(1, 1558)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before Python 3.10.7"
+)
+def test_a_count_past_a_lowered_digit_limit_is_refused_by_its_formula(capsys):
+    # 300! has 615 digits and 400! has 869; at the least limit, 640, only
+    # the first prints.  With no limit, refusals print at most 4300 digits.
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        below = run_cli(capsys, "verify", "--r", "1", "--n", "300")
+        past = run_cli(capsys, "verify", "--r", "1", "--n", "400")
+        sys.set_int_max_str_digits(0)
+        unlimited = run_cli(capsys, "verify", "--r", "1", "--n", "1558")
+        beyond = run_cli(capsys, "verify", "--r", "1", "--n", "1559")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert below[:2] == past[:2] == unlimited[:2] == beyond[:2] == (3, "")
+    count = below[2].removeprefix("error: group order ").partition(" ")[0]
+    assert len(count) == 615 and int(count) == group_order(1, 300)
+    assert past[2] == "error: group order 1^400 * 400! exceeds budget 10000000\n"
+    assert len(unlimited[2].removeprefix("error: group order ").partition(" ")[0]) == 4300
+    assert beyond[2] == "error: group order 1^1559 * 1559! exceeds budget 10000000\n"
+
+
 def test_verify_refuses_before_any_step(capsys, monkeypatch):
     def cone_sum(*args):
         raise AssertionError("a cone sum ran before the budget refusal")

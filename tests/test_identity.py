@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import sys
@@ -480,6 +481,56 @@ def test_a_wrong_factorised_cone_sum_fails_few_colors_and_corollary(monkeypatch)
         "rhs": 0,
     }
     assert not verify_corollary(EpsilonVector((1, 0, 1)), cap=5).ok
+
+
+def flipped_first_letter_step(level, cap):
+    """The first-letter recursion with [b < j] flipped: q t weighs the b >= j instead."""
+    substituted = [collections.Counter({(q + d, d): c for (q, d), c in g.items()}) for g in level]
+    below, above = wreath._running_sums(substituted)
+    return [below[j - 1] + wreath._raised(above[j - 1], cap) for j in range(1, len(level) + 2)]
+
+
+def test_a_flipped_first_letter_recursion_fails_the_numerator_piece(monkeypatch):
+    # The flip counts ascents: G_n(j) becomes G_n(n+1-j), so the totals, and
+    # with them the pieces l = 0 and l = n and the theorem at r = 1, stay.
+    monkeypatch.setattr(wreath, "_first_letter_step", flipped_first_letter_step)
+    clear_caches()
+    try:
+        assert verify_prop_few_colors(0, 3, cap=5).ok
+        assert verify_prop_few_colors(3, 3, cap=5).ok
+        assert verify_theorem(1, 4).ok
+        for l in (1, 2):
+            report = verify_prop_few_colors(l, 3, cap=5)
+            assert not report.ok
+            assert report.counterexample == {
+                "part": "numerator_piece",
+                "monomial": {"q": 0, "t": 0, "u": l},
+                "lhs": 0,
+                "rhs": 1,
+            }
+        report = verify_theorem(2, 3)
+        assert report.counterexample == {"monomial": {"q": 0, "t": 0, "u": 1}, "lhs": 0, "rhs": 3}
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_group_side_is_built_once_per_tally(n):
+    # Every eps with l colored letters has the tally of G_(1^l, 0^(n-l)).
+    clear_caches()
+    for colors in itertools.product(range(3), repeat=n):
+        assert verify_corollary(EpsilonVector(colors), cap=n + 1).ok
+    assert len(identity._group_sides) == n + 1
+
+
+@pytest.mark.parametrize("r,n,passes", [(1, 15, True), (1, 16, False), (3, 12, True), (3, 13, False)])
+def test_theorem_reaches_the_int64_frontier(r, n, passes):
+    # At a raised budget the theorem is limited only by its coefficients.
+    if passes:
+        assert verify_theorem(r, n, budget=10**16).ok
+    else:
+        with pytest.raises(CoefficientOverflowError):
+            verify_theorem(r, n, budget=10**16)
 
 
 @pytest.mark.parametrize("eps", [(0, 0), (1, 0), (2, 1), (0, 2, 1)])

@@ -21,6 +21,7 @@ from wreath_identity.poly import (
     lhs_term,
     mul_by_terms,
     q_integer,
+    slice_product,
     u_integer,
 )
 
@@ -714,6 +715,148 @@ def test_kernel_range_check_follows_int64_max(monkeypatch):
             p * TruncatedPoly.term(1, scale, t=1)
         with pytest.raises(CoefficientOverflowError):
             TruncatedPoly.term(1, scale, u=1) * p
+
+
+# -- power products on t-degree 0 -----------------------------------------------------
+
+
+def chain_product(factors, t, cap):
+    """prod a ** e * t^t as the chain of term-pair products: the oracle."""
+    result = TruncatedPoly.term(cap, 1, t=t)
+    for a, e in factors:
+        for _ in range(e):
+            result = mul_by_terms(result, a)
+    return result
+
+
+def unchecked_slice_product(factors, t, cap):
+    """The exact nonzero coefficients of prod a ** e * t^t, with no range check."""
+    if t > cap:
+        return {}
+    result = {(0, 0): 1}
+    for a, e in factors:
+        for _ in range(e):
+            out = {}
+            for (q1, u1), c1 in result.items():
+                for m, c2 in a.terms.items():
+                    key = (q1 + m.q, u1 + m.u)
+                    out[key] = out.get(key, 0) + c1 * c2
+            result = {key: c for key, c in out.items() if c}
+    return {Monomial(q, t, u): c for (q, u), c in result.items()}
+
+
+def factor_lists(cap, coeffs, exponents, top=3):
+    """Up to three (factor, exponent) pairs, each factor on t-degree 0 and possibly zero."""
+    factor = st.one_of(st.just(TruncatedPoly.zero(cap)), slice_polys(cap, coeffs, t=0, top=top))
+    return st.lists(st.tuples(factor, exponents), max_size=3)
+
+
+def product_args(coeffs, exponents):
+    """(factors, t, cap), with t up to two past the cap."""
+    return st.integers(0, 5).flatmap(
+        lambda cap: st.tuples(
+            factor_lists(cap, coeffs, exponents), st.integers(0, cap + 2), st.just(cap)
+        )
+    )
+
+
+# The term-pair chain can take longer than the default deadline.
+@settings(deadline=None)
+@given(product_args(st.integers(-3, 3), st.integers(0, 3)))
+def test_slice_product_matches_the_product_chain(args):
+    # Zero exponents, zero factors and t past the cap are all drawn.
+    factors, t, cap = args
+    assert slice_product(factors, t, cap) == chain_product(factors, t, cap)
+
+
+def test_slice_product_edge_cases():
+    cap = 3
+    zero, p = TruncatedPoly.zero(cap), q_integer(3, cap)
+    assert slice_product([], 2, cap) == TruncatedPoly.term(cap, 1, t=2)
+    assert slice_product([(zero, 0), (p, 0)], 1, cap) == TruncatedPoly.term(cap, 1, t=1)
+    assert slice_product([(zero, 2), (p, 1)], 0, cap) == zero
+    # Past the cap nothing is multiplied: the chain refuses this product.
+    big = TruncatedPoly.term(cap, 2**40)
+    assert slice_product([(big, 3)], cap + 1, cap) == zero
+    with pytest.raises(CoefficientOverflowError):
+        slice_product([(big, 3)], cap, cap)
+
+
+@pytest.mark.parametrize(
+    "factors,error",
+    [
+        ([(TruncatedPoly.term(3, 1, t=1), 2)], "every factor must lie on t-degree 0"),
+        ([(q_integer(2, 4), 2)], "t_cap mismatch: 4 vs 3"),
+        ([(q_integer(2, 3), -1)], "exponent must be a nonnegative integer, got -1"),
+    ],
+)
+def test_slice_product_rejects_bad_factors(factors, error):
+    with pytest.raises(ValueError, match=error):
+        slice_product(factors, 0, 3)
+    with pytest.raises(ValueError, match="t-exponent must be a nonnegative integer, got -1"):
+        slice_product([], -1, 3)
+
+
+@given(st.integers(0, 4).flatmap(lambda cap: slice_polys(cap, SMALL.filter(bool), t=0)), st.integers(1, 8))
+def test_a_single_factor_gets_the_power_bound_slot_width(a, e):
+    bounds = []
+
+    def recorded(bound):
+        bounds.append(bound)
+        return _slot_width(bound)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly, "_slot_width", recorded)
+        power = slice_product([(a, e)], 0, a.t_cap)
+    assert bounds == [poly._power_bound(a.terms, e)]
+    assert list(map(_slot_width, bounds)) == [_slot_width(poly._power_bound(a.terms, e))]
+    assert power == chain_power(a, e)
+
+
+@pytest.mark.parametrize(
+    "constants,fits_int64",
+    [
+        ([(7, 2), (73 * 127, 1), (337 * 92737 * 649657, 1)], True),  # 2^63 - 1
+        ([(2**21, 3)], False),  # 2^63
+        ([(-(2**21), 3)], True),  # -2^63
+        ([(-3, 3), (19 * 43 * 5419 * 77158673929, 1)], False),  # -2^63 - 1
+    ],
+)
+def test_slice_product_refuses_exactly_past_int64(constants, fits_int64):
+    # Times 1 + q, so the extreme coefficient fills two slots.
+    cap = 2
+    exact = math.prod(c**e for c, e in constants)
+    assert (INT64_MIN <= exact <= INT64_MAX) == fits_int64
+    factors = [(TruncatedPoly.term(cap, c), e) for c, e in constants] + [(q_integer(2, cap), 1)]
+    if fits_int64:
+        expected = poly_of(cap, {(0, 1, 0): exact, (1, 1, 0): exact})
+        assert slice_product(factors, 1, cap) == expected == chain_product(factors, 1, cap)
+    else:
+        with pytest.raises(CoefficientOverflowError):
+            slice_product(factors, 1, cap)
+
+
+def near_int64_products(exponents):
+    """Nonnegative (factors, t, cap) with these exponents, whose products reach about 2^63."""
+    size = st.integers(0, min(2 ** (64 // sum(exponents) + 1), 2**62 - 1))
+    return st.integers(0, 4).flatmap(
+        lambda cap: st.tuples(
+            st.tuples(*(st.tuples(slice_polys(cap, size, t=0, top=3), st.just(e)) for e in exponents)),
+            st.integers(0, cap + 1),
+            st.just(cap),
+        )
+    )
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(near_int64_products))
+def test_slice_product_refuses_exactly_where_a_coefficient_leaves_int64(args):
+    factors, t, cap = args
+    exact = unchecked_slice_product(factors, t, cap)
+    if fits(exact):
+        assert slice_product(factors, t, cap).terms == exact
+    else:
+        with pytest.raises(CoefficientOverflowError):
+            slice_product(factors, t, cap)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wreath_identity import wreath
 from wreath_identity.poly import Monomial, TruncatedPoly
 from wreath_identity.wreath import (
     BudgetExceededError,
@@ -18,6 +19,8 @@ from wreath_identity.wreath import (
     des,
     descent_set,
     enumerate_group,
+    few_colors_eps,
+    few_colors_pieces,
     g_epsilon,
     g_epsilon_gf,
     group_order,
@@ -349,11 +352,36 @@ def test_numerator_r1_is_euler_mahonian(n):
 
 
 @pytest.mark.parametrize(
-    "r,n", [(r, n) for r in (1, 2, 3) for n in range(1, 6)] + [(4, 5), (2, 6)]
+    "r,n", [(r, n) for r in (1, 2, 3) for n in range(1, 6)] + [(4, 5), (2, 6), (1, 6), (3, 6)]
 )
 def test_numerator_matches_enumeration_oracle(r, n):
-    cap = n + 3
-    assert numerator(r, n, cap) == numerator_by_enumeration(r, n, cap)
+    # The walk at cap n + 3 truncates to the walk at every lower cap.
+    walked = numerator_by_enumeration(r, n, n + 3)
+    for cap in [*range(n), n, n + 3]:
+        assert numerator(r, n, cap) == walked.truncate(cap), cap
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_few_colors_pieces_are_the_walked_pieces(n):
+    # Piece l is u^l F_l; with u lowered by l it is the walked G_eps tally.
+    for cap in (0, 1, n, n + 3):
+        pieces = few_colors_pieces(n, cap)
+        assert len(pieces) == n + 1
+        for l, piece in enumerate(pieces):
+            walked = g_epsilon_gf(few_colors_eps(l, n), cap).terms
+            assert all(mon.u == l for mon in piece.terms), (l, cap)
+            lowered = {(m.q, m.t, m.u - l): c for m, c in piece.terms.items()}
+            assert lowered == {(m.q, m.t, m.u - l): c for m, c in walked.items()}, (l, cap)
+
+
+def test_numerator_walks_no_window(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the numerator walked the windows of a G_eps")
+
+    monkeypatch.setattr(wreath, "_key_tally", walk)
+    monkeypatch.setattr(wreath, "_window_tally", walk)
+    few_colors_pieces.cache_clear()
+    assert numerator(3, 5).evaluate() == group_order(3, 5)
 
 
 # -- value types -------------------------------------------------------------------
