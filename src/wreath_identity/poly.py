@@ -5,14 +5,23 @@ t-exponent exceeds the cap, while q- and u-exponents stay exact.  Both sides
 of the identity this package verifies have finite q,u content at each
 t-degree, so truncating in t alone is enough to make equality testing exact.
 
-A polynomial is a map from Monomial to coefficient.  Multiplication works
-one t-degree at a time by Kronecker substitution: the (q, u) terms of a
-t-slice become the digits of one Python int, slot q*U + u with U wider than
-any u-degree of the product, so one big-int product per pair of t-degrees
-(t1 + t2 <= cap) does the work of all its term pairs.  Slots are sized from
-the a-priori bound ||a||_1 * ||b||_inf on every product coefficient, so no
-coefficient can spill into its neighbour, and rounded up to 1, 2, 4 or 8
-bytes.  The layout (U, w, array typecode) is one value, chosen once per
+A polynomial is a map from Monomial to coefficient.  Every product is
+one primitive, Kronecker substitution: the (q, u) terms of a t-slice
+become the digits of one Python int, slot q*U + u with U wider than any
+u-degree of the result.  ``_packed`` builds each t-slice t^t prod_i
+a_i^e_i as one int: a factor on one t-degree is one big-int power, any
+other factor is multiplied in e_i times, one big-int product per pair of
+t-degrees whose sum is at most the cap, and nothing is decoded between
+steps.  A result past the cap, or with a zero factor, is zero without any
+arithmetic.  ``a * b``, ``a ** e``, ``slice_product`` and
+``compare_product`` all go through it.
+
+One bound sizes the slots: no coefficient of prod_i a_i^e_i exceeds
+min_i ||a_i||_inf ||a_i||_1^(e_i-1) prod_(j != i) ||a_j||_1^e_j, which is
+min(||a||_1 ||b||_inf, ||a||_inf ||b||_1) for a * b and ||a||_1^(e-1)
+||a||_inf for a ** e.  Each slot has one bit to spare over it, rounded up
+to 1, 2, 4 or 8 bytes, so no coefficient can spill into its neighbour.
+The layout (U, w, array typecode) is one value, chosen once per
 operation, and a packed t-slice is one int on it: bias + c, with bias =
 2^(8w-1), is written into an array of w-byte words and one packed bias int
 is subtracted, so signed coefficients need no second pass.  A slice is
@@ -20,36 +29,23 @@ read back the other way.  Every |c| is below the bias, so a nonzero top
 slot T puts |x| above 2^(8wT-1), and x.bit_length() // 8w + 1 slots hold
 it.  One bias int is added, the digits become one array of words, the
 array is range-checked once through its least and greatest word, and only
-the words that differ from the bias are decoded into monomials.  A product
-by a single term is a shift of the other operand, with no packing.
-
-A power product prod_i a_i^e_i * t^t of polynomials on t-degree 0 is
-``slice_product``: one pack per factor on one layout, big-int powers and
-products, and one readback at t^t, with slots sized from min_i ||a_i||_inf
-||a_i||_1^(e_i-1) prod_(j != i) ||a_j||_1^e_j at any width (for one factor,
-||a||_1^(e-1) * ||a||_inf); a result past the cap is zero without any
-arithmetic.  A power of a polynomial on one t-degree takes the same path,
-and ``lhs_term`` reads its power back directly at t^k.  A power of a
-polynomial on several t-degrees, or of zero, is the chain of products
-1 * a * ... * a.  A sum of polynomials with disjoint supports is the union
-of their term maps.  ``mul_by_terms`` keeps the term-pair loop as the
-oracle.
+the words that differ from the bias are decoded into monomials.  A sum of
+polynomials with disjoint supports is the union of their term maps.
+``mul_by_terms`` keeps the term-pair loop as the oracle.
 
 The theorem's two sides, a * b and sum_k base_k^e t^k, are compared by
 ``compare_product`` without decoding either.  Both are packed on one slot
-layout, wide enough for the product's bound and every power's, so each
-t-slice of each side is one int: the product's slice sum and one big-int
-power.  Equal slices are then equal ints.  Every slice is range-checked
-through its least and greatest word, and the sides are decoded into
-monomials only when a slice differs, for the counterexample.
+layout, wide enough for the bound of the product and of every power, so
+each t-slice of each side is one int: the product's slice sum and one
+big-int power.  Equal slices are then equal ints.  Every slice is
+range-checked through its least and greatest word, and the sides are
+decoded into monomials only when a slice differs, for the counterexample.
 
 Coefficients are integers kept inside the signed 64-bit range; an operation
 whose result would leave that range raises CoefficientOverflowError instead
-of wrapping or growing silently.  Results are exact before this check, so a
-product, a sum, a power product on one t-degree and a comparison are
-refused exactly when one of their coefficients leaves the range.  Only the
-chain for a power on several t-degrees can also be refused on an
-intermediate product.
+of wrapping or growing silently.  Results are exact before this check, so
+every sum, product, power, power product and comparison is refused exactly
+when one of its coefficients leaves the range.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ import functools
 import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 
 from .errors import CoefficientOverflowError
 
@@ -227,23 +223,16 @@ class TruncatedPoly:
         if other is NotImplemented:
             return NotImplemented
         return TruncatedPoly._trusted(
-            self.t_cap, _kronecker_product(self._terms, other._terms, self.t_cap)
+            self.t_cap, _product([(self._terms, 1), (other._terms, 1)], self.t_cap)
         )
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> TruncatedPoly:
-        """One big-int power on one t-degree, refused exactly when a result coefficient
-        leaves int64; on several t-degrees, the chain 1 * self * ... * self of products."""
-        if not isinstance(e, int) or e < 0:
+        """One ``_product``, refused exactly when a result coefficient leaves int64."""
+        if not _is_int(e) or e < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {e}")
-        degrees = set(map(_T, self._terms))
-        if e and len(degrees) == 1:
-            (t,) = degrees
-            return TruncatedPoly._trusted(
-                self.t_cap, _slice_product([(self._terms, e)], e * t, self.t_cap)
-            )
-        return functools.reduce(mul, itertools.repeat(self, e), TruncatedPoly.one(self.t_cap))
+        return TruncatedPoly._trusted(self.t_cap, _product([(self._terms, e)], self.t_cap))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedPoly):
@@ -305,6 +294,10 @@ _WORDS = sorted((array.array(code).itemsize, code) for code in "BHIQ")
 _BIG_ENDIAN = array.array("H", b"\x00\x01")[0] == 1
 # The t- and u-exponents of a Monomial, read in C.
 _T, _U = itemgetter(1), itemgetter(2)
+# (span U, slot width in bytes, array typecode or None), chosen once per operation.
+_Layout = tuple[int, int, str | None]
+# Pairs (a_i, e_i) that stand for prod_i a_i ** e_i.
+_Factors = Sequence[tuple[dict[Monomial, int], int]]
 
 
 def _slot_width(bound: int) -> tuple[int, str | None]:
@@ -323,7 +316,7 @@ def _bias_int(width: int, slots: int) -> int:
     return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * slots, "little")
 
 
-def _pack(terms: dict[Monomial, int], layout: tuple[int, int, str | None]) -> dict[int, int]:
+def _pack(terms: dict[Monomial, int], layout: _Layout) -> dict[int, int]:
     """Each t-slice of terms as one packed int, on layout (span, width, typecode).
 
     The term q^a t^k u^b lands in slot a*span + b of the t^k int, each slot
@@ -353,7 +346,7 @@ def _pack(terms: dict[Monomial, int], layout: tuple[int, int, str | None]) -> di
     return packed
 
 
-def _words(value: int, layout: tuple[int, int, str | None]):
+def _words(value: int, layout: _Layout):
     """The words bias + c of a packed t-slice, range-checked once, through the least and greatest.
 
     The slot count follows from the int itself, as the module docstring
@@ -377,7 +370,7 @@ def _words(value: int, layout: tuple[int, int, str | None]):
     return words
 
 
-def _decode(slices: dict[int, int], layout: tuple[int, int, str | None]) -> dict[Monomial, int]:
+def _decode(slices: dict[int, int], layout: _Layout) -> dict[Monomial, int]:
     """The canonical terms of packed t-slices, by t-degree.
 
     Each slice's words are range-checked by ``_words``, and only the words
@@ -396,100 +389,67 @@ def _decode(slices: dict[int, int], layout: tuple[int, int, str | None]) -> dict
     return out
 
 
-def _max_u(a: dict[Monomial, int]) -> int:
-    """The largest u-exponent of a, 0 for the zero polynomial."""
-    return max(map(_U, a), default=0)
+def _bound(factors: _Factors) -> tuple[int, int]:
+    """(bound, span) of prod_i a_i ** e_i: no coefficient exceeds bound, no u-degree reaches span.
 
-
-def _product_bound(a: dict[Monomial, int], b: dict[Monomial, int]) -> int:
-    """min(||a||_1 ||b||_inf, ||a||_inf ||b||_1): no coefficient of a * b exceeds it."""
-    a_abs, b_abs = list(map(abs, a.values())), list(map(abs, b.values()))
-    return min(sum(a_abs) * max(b_abs, default=0), max(a_abs, default=0) * sum(b_abs))
-
-
-def _power_bound(a: dict[Monomial, int], e: int) -> int:
-    """||a||_1^(e-1) ||a||_inf, for e >= 1: no coefficient of a ** e exceeds it."""
-    a_abs = list(map(abs, a.values()))
-    return sum(a_abs) ** (e - 1) * max(a_abs, default=0)
-
-
-def _packed_product(
-    a: dict[Monomial, int], b: dict[Monomial, int], cap: int, layout: tuple[int, int, str | None]
-) -> dict[int, int]:
-    """Each t-slice t <= cap of a * b as one packed int.
-
-    One big-int product per pair of t-slices, summed per t.  The slots must
-    hold every coefficient of the product (and so of nonzero operands), and
-    the span must exceed every u-degree of it.
+    bound = min_i ||a_i||_inf ||a_i||_1^(e_i-1) prod_(j != i) ||a_j||_1^e_j
+    over the factors with e_i > 0, or 0 when one of them is zero, since
+    ||a * b||_inf <= ||a||_inf ||b||_1 and ||a * b||_1 <= ||a||_1 ||b||_1;
+    span = sum_i e_i max_u(a_i) + 1.
     """
-    if not a or not b:
+    factors = [(a, e) for a, e in factors if e]
+    # (||a||_1, ||a||_inf, e) per factor.
+    norms = [
+        (sum(map(abs, a.values())), max(map(abs, a.values()), default=0), e) for a, e in factors
+    ]
+    total = math.prod(l1**e for l1, _, e in norms)
+    bound = min((total // l1 * top for l1, top, _ in norms), default=1) if total else 0
+    return bound, sum(e * max(map(_U, a), default=0) for a, e in factors) + 1
+
+
+def _packed(factors: _Factors, cap: int, layout: _Layout, t: int = 0) -> dict[int, int]:
+    """Each t-slice t' <= cap of t^t prod_i a_i ** e_i as one packed int.
+
+    A factor on one t-degree is packed into one int and raised to its
+    power; any other factor is multiplied in e_i times, one big-int
+    product per pair of t-slices, summed per t'.  Nothing is decoded
+    between steps.  A result past the cap, or with a zero factor, is empty
+    without any arithmetic, and so is every step once all slices pass the
+    cap.  The slots must hold every coefficient of the result, and the
+    span must exceed every u-degree of it (``_bound``).
+    """
+    if t > cap or not all(a for a, e in factors if e):
         return {}
-    b_slices = _pack(b, layout)
-    out: dict[int, int] = {}
-    for t1, x in _pack(a, layout).items():
-        for t2, y in b_slices.items():
-            t = t1 + t2
-            if t <= cap:
-                out[t] = out.get(t, 0) + x * y
+    out = {t: 1}
+    for a, e in factors:
+        if not (out and e):
+            continue
+        slices = _pack(a, layout)
+        if len(slices) == 1:
+            ((t1, x),) = slices.items()
+            if min(out) + e * t1 > cap:
+                return {}
+            slices, e = {e * t1: x**e}, 1
+        for _ in range(e):
+            step: dict[int, int] = {}
+            for t1, x in out.items():
+                for t2, y in slices.items():
+                    if t1 + t2 <= cap:
+                        step[t1 + t2] = step.get(t1 + t2, 0) + x * y
+            out = step
     return out
 
 
-def _kronecker_product(
-    a: dict[Monomial, int], b: dict[Monomial, int], cap: int
-) -> dict[Monomial, int]:
-    """The canonical terms of a * b truncated at t^cap, every coefficient checked.
+def _product(factors: _Factors, cap: int, t: int = 0) -> dict[Monomial, int]:
+    """The canonical terms of t^t prod_i a_i ** e_i truncated at t^cap, every coefficient checked.
 
-    A single-term operand c0 * m0 shifts the other operand's terms by m0
-    and scales them by c0, and the scaled coefficients are range-checked
-    once, through the least and the greatest.  Otherwise the product is
-    packed and multiplied by ``_packed_product``, in slots of the width
-    ``_slot_width`` gives ``_product_bound``, and decoded.
+    The layout comes from ``_bound``, the product from ``_packed``, and
+    the result is read back once, so it is refused exactly when one of its
+    coefficients leaves the signed 64-bit range.
     """
-    if not a or not b:
-        return {}
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        ((shift, c0),) = a.items()
-        dq, dt, du = shift
-        kept = [(m, c) for m, c in b.items() if m.t <= cap - dt] if dt else b.items()
-        if not kept:
-            return {}
-        mons, coeffs = zip(*kept)
-        scaled = list(map(c0.__mul__, coeffs))
-        _checked(min(scaled))
-        _checked(max(scaled))
-        qs, ts, us = zip(*mons)
-        keys = zip(map(dq.__add__, qs), map(dt.__add__, ts), map(du.__add__, us))
-        return dict(zip(map(tuple.__new__, itertools.repeat(Monomial), keys), scaled))
-    layout = (_max_u(a) + _max_u(b) + 1, *_slot_width(_product_bound(a, b)))
-    return _decode(_packed_product(a, b, cap, layout), layout)
-
-
-def _slice_product(
-    factors: Sequence[tuple[dict[Monomial, int], int]], t: int, cap: int
-) -> dict[Monomial, int]:
-    """The canonical terms of prod_i a_i ** e_i at t-exponent t, each a_i on one t-degree.
-
-    Each factor is packed once on one layout, the powers and their product
-    are big ints, and the result is read back once.  No coefficient of the
-    product exceeds min_i ||a_i||_inf ||a_i||_1^(e_i-1) prod_(j != i)
-    ||a_j||_1^e_j, so the slots ``_slot_width`` gives that bound hold it at
-    any width; for a single factor the bound is ``_power_bound``.  Every
-    coefficient is range-checked on readback, so the product is refused
-    exactly when one of them leaves the signed 64-bit range.  A result past
-    the cap, or with a zero factor, is zero without any arithmetic.
-    """
-    factors = [(a, e) for a, e in factors if e]
-    if t > cap or not all(a for a, _ in factors):
-        return {}
-    # (||a||_1, ||a||_inf, e) per factor.
-    norms = [(sum(map(abs, a.values())), max(map(abs, a.values())), e) for a, e in factors]
-    total = math.prod(l1**e for l1, _, e in norms)
-    bound = min((total // l1 * top for l1, top, _ in norms), default=1)
-    layout = (sum(e * _max_u(a) for a, e in factors) + 1, *_slot_width(bound))
-    packed = (next(iter(_pack(a, layout).values())) ** e for a, e in factors)
-    return _decode({t: math.prod(packed)}, layout)
+    bound, span = _bound(factors)
+    layout = (span, *_slot_width(bound))
+    return _decode(_packed(factors, cap, layout, t), layout)
 
 
 def slice_product(
@@ -497,9 +457,9 @@ def slice_product(
 ) -> TruncatedPoly:
     """prod_i a_i ** e_i * t^t, for factors (a_i, e_i) that each lie on t-degree 0.
 
-    One pack per factor, big-int powers and products, one readback
-    (``_slice_product``): refused exactly when a coefficient of the result
-    leaves int64, and zero without any arithmetic when t > cap.
+    One ``_product``: one pack per factor, big-int powers and products, one
+    readback, refused exactly when a coefficient of the result leaves
+    int64, and zero without any arithmetic when t > cap.
 
     >>> slice_product([(q_integer(2, 3), 2), (u_integer(2, 3), 1)], 1, 3)
     <TruncatedPoly cap=3: t + t*u + 2*q*t + 2*q*t*u + q^2*t + q^2*t*u>
@@ -513,7 +473,7 @@ def slice_product(
             raise ValueError(f"exponent must be a nonnegative integer, got {e}")
         if any(map(_T, a._terms)):
             raise ValueError("every factor must lie on t-degree 0")
-    return TruncatedPoly._trusted(cap, _slice_product([(a._terms, e) for a, e in factors], t, cap))
+    return TruncatedPoly._trusted(cap, _product([(a._terms, e) for a, e in factors], cap, t))
 
 
 def compare_product(
@@ -521,9 +481,9 @@ def compare_product(
 ) -> tuple[TruncatedPoly, TruncatedPoly] | None:
     """Compare a * b with sum_k bases[k]**e t^k as packed t-slices, decoding only on a mismatch.
 
-    The at most t_cap + 1 bases lie on t-degree 0.  Both sides share one
-    slot layout, wide enough for ``_product_bound(a, b)`` and every
-    ``_power_bound``, so equal slices are equal ints.  Every slice is
+    The at most t_cap + 1 bases lie on t-degree 0.  Both sides are built
+    by ``_packed`` on one slot layout, wide enough for the ``_bound`` of
+    a * b and of every power, so equal slices are equal ints.  Every slice is
     range-checked, those of a * b first, so an overflow is refused as
     ``a * b`` and then the powers in order would refuse it.  Returns None
     when every slice agrees, else both sides decoded: (a * b, the powers' sum).
@@ -536,19 +496,20 @@ def compare_product(
     """
     b = a._coerce(b)
     cap = a.t_cap
-    if e < 1:
-        raise ValueError(f"exponent must be positive, got {e}")
+    if not _is_int(e) or e < 1:
+        raise ValueError(f"exponent must be a positive integer, got {e}")
     if len(bases) > cap + 1:
         raise ValueError(f"{len(bases)} bases exceed t_cap {cap}")
-    powers = [base._terms for base in bases]
-    if any(any(map(_T, terms)) for terms in powers):
+    if any(any(map(_T, base._terms)) for base in bases):
         raise ValueError("every base must lie on t-degree 0")
-    a, b = a._terms, b._terms
-    bound = max([_product_bound(a, b)] + [_power_bound(terms, e) for terms in powers])
-    span = max([_max_u(a) + _max_u(b)] + [e * _max_u(terms) for terms in powers]) + 1
+    factors = [(a._terms, 1), (b._terms, 1)]
+    powers = [[(base._terms, e)] for base in bases]
+    bound, span = map(max, zip(*map(_bound, [factors, *powers])))
     layout = (span, *_slot_width(bound))
-    product = _packed_product(a, b, cap, layout)
-    power_sum = {k: _pack(terms, layout)[0] ** e for k, terms in enumerate(powers) if terms}
+    product = _packed(factors, cap, layout)
+    power_sum: dict[int, int] = {}
+    for k, power in enumerate(powers):
+        power_sum.update(_packed(power, cap, layout, k))
     for value in [*product.values(), *power_sum.values()]:
         _words(value, layout)
     if {t: value for t, value in product.items() if value} == power_sum:

@@ -104,6 +104,9 @@ def test_int_operands_coerce_to_constants():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         TruncatedPoly(3, {Monomial(-1, 0, 0): 1})
+    for e in (-1, 2.0, "2", True):
+        with pytest.raises(ValueError, match=f"exponent must be a nonnegative integer, got {e}"):
+            q_integer(2, 3) ** e
 
 
 @pytest.mark.parametrize(
@@ -596,6 +599,15 @@ def test_single_slice_power_past_the_cap_forms_no_intermediate():
         chain_power(p, 3)
 
 
+def test_multi_slice_power_past_the_cap_decodes_no_intermediate():
+    # (2^40 t + 2^40 t^2)^3 at cap 2 is zero; the chain refuses its square,
+    # whose t^2 coefficient is 2^80.
+    p = poly_of(2, {(0, 1, 0): 2**40, (0, 2, 0): 2**40})
+    assert p**3 == TruncatedPoly.zero(2)
+    with pytest.raises(CoefficientOverflowError):
+        chain_power(p, 3)
+
+
 def nonnegative_bases_near_int64(cap_e):
     """(base, e) with e * t-degree <= cap, coefficients near 2^(63/e)."""
     cap, e = cap_e
@@ -630,13 +642,17 @@ def test_nonnegative_power_refuses_exactly_where_the_chain_refuses(pair):
 @settings(deadline=None)
 @given(
     st.integers(0, 4).flatmap(
-        lambda cap: slice_polys(cap, NEAR_2_62 | st.integers(-(2**21), 2**21))
+        lambda cap: st.one_of(
+            slice_polys(cap, NEAR_2_62 | st.integers(-(2**21), 2**21)),
+            polys(cap, NEAR_2_62 | st.integers(-(2**21), 2**21)),
+        )
     ),
     st.integers(1, 4),
 )
 def test_signed_power_is_exact_where_it_is_not_refused(p, e):
     # A signed chain may refuse a partial sum whose final coefficient fits;
-    # the power is refused only when its exact result leaves the range.
+    # the power, on one t-degree or several, is refused only when its exact
+    # result leaves the range.
     exact = unchecked_power(p, e)
     if fits(exact):
         assert (p**e).terms == exact
@@ -808,8 +824,11 @@ def test_a_single_factor_gets_the_power_bound_slot_width(a, e):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(poly, "_slot_width", recorded)
         power = slice_product([(a, e)], 0, a.t_cap)
-    assert bounds == [poly._power_bound(a.terms, e)]
-    assert list(map(_slot_width, bounds)) == [_slot_width(poly._power_bound(a.terms, e))]
+    # ||a||_1^(e-1) * ||a||_inf
+    sizes = list(map(abs, a.terms.values()))
+    power_bound = sum(sizes) ** (e - 1) * max(sizes)
+    assert bounds == [power_bound]
+    assert list(map(_slot_width, bounds)) == [_slot_width(power_bound)]
     assert power == chain_power(a, e)
 
 
@@ -872,17 +891,28 @@ def test_lhs_term_matches_the_product_chain(r, n):
 
 def test_lhs_term_with_a_bound_past_2_63_is_one_power(monkeypatch):
     # [19]_q^16: the bound 19^15 passes 2^63, every coefficient fits.  Both
-    # powers lie on one t-degree, so neither takes a product.
+    # powers lie on one t-degree, so each packs the base once and reads
+    # the result back once, with no product chain.
     assert _slot_width(19**15)[1] is None
-    power = chain_power(q_integer(19, 18), 16)
+    base = q_integer(19, 18)
+    power = chain_power(base, 16)
     shifted = mul_by_terms(power, TruncatedPoly.term(18, 1, t=18))
+    calls = []
 
-    def no_product(*args):
-        raise AssertionError("a power on one t-degree took a product")
+    def counted(name, function):
+        def wrapper(terms, layout):
+            calls.append((name, terms))
+            return function(terms, layout)
 
-    monkeypatch.setattr(poly, "_kronecker_product", no_product)
-    assert lhs_term(1, 16, 18, 18) == shifted
-    assert q_integer(19, 18) ** 16 == power
+        monkeypatch.setattr(poly, name, wrapper)
+
+    counted("_pack", _pack)
+    counted("_decode", _decode)
+    for build, expected in ((lambda: lhs_term(1, 16, 18, 18), shifted), (lambda: base**16, power)):
+        calls.clear()
+        assert build() == expected
+        assert [name for name, _ in calls] == ["_pack", "_decode"]
+        assert calls[0][1] == base.terms
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -993,8 +1023,9 @@ def test_compare_product_in_slots_wider_than_8_bytes(delta):
 
 def test_compare_product_rejects_bad_arguments():
     one = TruncatedPoly.one(2)
-    with pytest.raises(ValueError, match="exponent"):
-        compare_product(one, one, [one], 0)
+    for e in (0, 2.0, "2", True):
+        with pytest.raises(ValueError, match=f"exponent must be a positive integer, got {e}"):
+            compare_product(one, one, [one], e)
     with pytest.raises(ValueError, match="exceed"):
         compare_product(one, one, [one] * 4, 1)
     with pytest.raises(ValueError, match="t-degree 0"):
