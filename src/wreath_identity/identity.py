@@ -518,13 +518,14 @@ def verify_theorem(
     Left side: the sum over heights k <= cap of ([k+1]_q + u[r-1]_u[k]_q)^n t^k.
     Right side: the joint (maj, des, col) distribution over the whole group,
     assembled by :func:`numerator` from the few-colors pieces
-    G_(1^l, 0^(n-l)), times the expanded denominator, truncated at the same
-    cap.  The right side's factors are built first, so parameters whose
-    group order r^n * n! exceeds the budget raise BudgetExceededError before
-    any left-side work.  :func:`compare_product` compares the two sides as
-    packed t-slices, the product's slice sums against one power of
-    :func:`lhs_base` per height, and decodes them into polynomials only on
-    a mismatch, for the counterexample.
+    G_(1^l, 0^(n-l)), times prod_(j=0)^n 1/(1 - q^j t), truncated at the
+    same cap.  The numerator is built first, so parameters whose group
+    order r^n * n! exceeds the budget raise BudgetExceededError before any
+    left-side work.  :func:`compare_product` takes the numerator and n: it
+    packs the numerator once, multiplies it by each 1/(1 - q^j t) as a
+    running sum over the packed t-slices, compares those slices with one
+    power of :func:`lhs_base` per height, and decodes both sides into
+    polynomials only on a mismatch, for the counterexample.
     """
     if r < 1 or n < 1:
         raise ValueError(f"r and n must be positive, got r={r}, n={n}")
@@ -533,10 +534,7 @@ def verify_theorem(
     started = time.perf_counter()
     params = {"r": r, "n": n, "t_cap": cap}
     sides = compare_product(
-        numerator(r, n, cap, budget),
-        expand_denominator(n, cap),
-        [lhs_base(r, k, cap) for k in range(cap + 1)],
-        n,
+        numerator(r, n, cap, budget), n, [lhs_base(r, k, cap) for k in range(cap + 1)], n
     )
     if sides is None:
         return _finish("theorem", params, None, started)

@@ -13,7 +13,7 @@ a_i^e_i as one int: a factor on one t-degree is one big-int power, any
 other factor is multiplied in e_i times, one big-int product per pair of
 t-degrees whose sum is at most the cap, and nothing is decoded between
 steps.  A result past the cap, or with a zero factor, is zero without any
-arithmetic.  ``a * b``, ``a ** e``, ``slice_product`` and
+arithmetic.  ``a * b``, ``a ** e``, ``slice_product`` and the powers of
 ``compare_product`` all go through it.
 
 One bound sizes the slots: no coefficient of prod_i a_i^e_i exceeds
@@ -33,13 +33,17 @@ the words that differ from the bias are decoded into monomials.  A sum of
 polynomials with disjoint supports is the union of their term maps.
 ``mul_by_terms`` keeps the term-pair loop as the oracle.
 
-The theorem's two sides, a * b and sum_k base_k^e t^k, are compared by
-``compare_product`` without decoding either.  Both are packed on one slot
-layout, wide enough for the bound of the product and of every power, so
-each t-slice of each side is one int: the product's slice sum and one
-big-int power.  Equal slices are then equal ints.  Every slice is
-range-checked through its least and greatest word, and the sides are
-decoded into monomials only when a slice differs, for the counterexample.
+The theorem's two sides, a prod_(j=0)^n 1/(1 - q^j t) and sum_k base_k^e
+t^k, are compared by ``compare_product`` without decoding either.  Both
+are packed on one slot layout, wide enough for the bound of a *
+``expand_denominator(n, cap)`` and of every power.  The right side takes
+no product: packing is evaluation at 256^w, a ring homomorphism, so a is
+packed once and each factor 1/(1 - q^j t) is a running sum over ascending
+t, x_t += x_(t-1) shifted by j*U slots.  Each left t-slice is one big-int
+power.  Equal slices are then equal ints.  The product's slices are
+range-checked through their least and greatest words, the powers' only
+when a slice differs, and only then are both sides decoded into
+monomials, for the counterexample.
 
 Coefficients are integers kept inside the signed 64-bit range; an operation
 whose result would leave that range raises CoefficientOverflowError instead
@@ -79,6 +83,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_cap(t_cap) -> None:
+    """Refuse a t-cap that is not a nonnegative int, naming it."""
+    if not _is_int(t_cap):
+        raise ValueError(f"t_cap must be an integer, got {t_cap!r}")
+    if t_cap < 0:
+        raise ValueError(f"t_cap must be nonnegative, got {t_cap}")
+
+
 def _checked(coeff: int) -> int:
     if coeff < INT64_MIN or coeff > INT64_MAX:
         raise CoefficientOverflowError(
@@ -110,8 +122,7 @@ class TruncatedPoly:
     def __init__(
         self, t_cap: int, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()
     ):
-        if t_cap < 0:
-            raise ValueError(f"t_cap must be nonnegative, got {t_cap}")
+        _check_cap(t_cap)
         items = terms.items() if isinstance(terms, Mapping) else terms
         canonical: dict[Monomial, int] = {}
         for mon, coeff in items:
@@ -477,45 +488,62 @@ def slice_product(
 
 
 def compare_product(
-    a: TruncatedPoly, b: TruncatedPoly, bases: Sequence[TruncatedPoly], e: int
+    a: TruncatedPoly, n: int, bases: Sequence[TruncatedPoly], e: int
 ) -> tuple[TruncatedPoly, TruncatedPoly] | None:
-    """Compare a * b with sum_k bases[k]**e t^k as packed t-slices, decoding only on a mismatch.
+    """Compare a prod_(j=0)^n 1/(1 - q^j t) with sum_k bases[k]**e t^k as packed t-slices.
 
-    The at most t_cap + 1 bases lie on t-degree 0.  Both sides are built
-    by ``_packed`` on one slot layout, wide enough for the ``_bound`` of
-    a * b and of every power, so equal slices are equal ints.  Every slice is
-    range-checked, those of a * b first, so an overflow is refused as
-    ``a * b`` and then the powers in order would refuse it.  Returns None
-    when every slice agrees, else both sides decoded: (a * b, the powers' sum).
+    The at most t_cap + 1 bases lie on t-degree 0.  Both sides are packed
+    on one slot layout, wide enough for the ``_bound`` of a *
+    ``expand_denominator(n, cap)`` and of every power, so equal slices are
+    equal ints.  a is packed once, then multiplied by each 1/(1 - q^j t) as
+    a running sum over ascending t, x_t += x_(t-1) shifted by j*span slots:
+    no slice of the denominator is packed and none is multiplied.  Every
+    slice of the product is range-checked, in the order that ``a *
+    expand_denominator(n, cap)`` reads them back, so an overflow is refused
+    with that product's message.  The powers are range-checked, in order,
+    only when a slice differs, since equal slices have the same words.
+    Returns None when every slice agrees, else both sides decoded: (the
+    product, the powers' sum).
 
     >>> bases = [q_integer(k + 1, 2) for k in range(3)]   # 1/((1 - t)(1 - q t))
-    >>> compare_product(TruncatedPoly.one(2), expand_denominator(1, 2), bases, 1) is None
+    >>> compare_product(TruncatedPoly.one(2), 1, bases, 1) is None
     True
-    >>> compare_product(TruncatedPoly.one(2), expand_denominator(1, 2), bases[:2], 1)[1]
+    >>> compare_product(TruncatedPoly.one(2), 1, bases[:2], 1)[1]
     <TruncatedPoly cap=2: 1 + t + q*t>
     """
-    b = a._coerce(b)
     cap = a.t_cap
     if not _is_int(e) or e < 1:
         raise ValueError(f"exponent must be a positive integer, got {e}")
     if len(bases) > cap + 1:
         raise ValueError(f"{len(bases)} bases exceed t_cap {cap}")
-    if any(any(map(_T, base._terms)) for base in bases):
-        raise ValueError("every base must lie on t-degree 0")
-    factors = [(a._terms, 1), (b._terms, 1)]
+    for base in bases:
+        if base.t_cap != cap:
+            raise ValueError(f"t_cap mismatch: {cap} vs {base.t_cap}")
+        if any(map(_T, base._terms)):
+            raise ValueError("every base must lie on t-degree 0")
+    # expand_denominator checks n, refuses an overflow of its own first,
+    # and sizes the layout as the product's second factor.
+    factors = [(a._terms, 1), (expand_denominator(n, cap)._terms, 1)]
     powers = [[(base._terms, e)] for base in bases]
     bound, span = map(max, zip(*map(_bound, [factors, *powers])))
     layout = (span, *_slot_width(bound))
-    product = _packed(factors, cap, layout)
+    packed = _pack(a._terms, layout)
+    product = [packed.get(t, 0) for t in range(cap + 1)]
+    for j in range(n + 1):
+        shift = 8 * layout[1] * span * j
+        for t in range(1, cap + 1):
+            product[t] += product[t - 1] << shift
+    # In the order a * expand_denominator(n, cap) reads its slices back, so an
+    # overflow names the coefficient that product would name.
+    for t in dict.fromkeys(t1 + t2 for t1 in packed for t2 in range(cap + 1 - t1)):
+        _words(product[t], layout)
     power_sum: dict[int, int] = {}
     for k, power in enumerate(powers):
         power_sum.update(_packed(power, cap, layout, k))
-    for value in [*product.values(), *power_sum.values()]:
-        _words(value, layout)
-    if {t: value for t, value in product.items() if value} == power_sum:
+    if {t: value for t, value in enumerate(product) if value} == power_sum:
         return None
     return (
-        TruncatedPoly._trusted(cap, _decode(product, layout)),
+        TruncatedPoly._trusted(cap, _decode(dict(enumerate(product)), layout)),
         TruncatedPoly._trusted(cap, _decode(power_sum, layout)),
     )
 
@@ -558,7 +586,7 @@ def u_integer(n: int, cap: int) -> TruncatedPoly:
     return TruncatedPoly(cap, {Monomial(0, 0, j): 1 for j in range(n)})
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def expand_denominator(n: int, cap: int) -> TruncatedPoly:
     """Power-series expansion of prod_{j=0}^{n} 1/(1 - q^j t) up to t^cap.
 
@@ -569,15 +597,15 @@ def expand_denominator(n: int, cap: int) -> TruncatedPoly:
     binomial are positive, so each slice is range-checked once, through its
     greatest, and the expansion is refused exactly when a coefficient of
     the result leaves int64.  The result is immutable, so it is built once
-    per (n, cap) and shared.
+    per (n, cap) and shared; the cache tells the types apart, so a refused
+    ``True`` or ``2.0`` never finds the entry of 1 or 2.
 
     >>> expand_denominator(1, 2)
     <TruncatedPoly cap=2: 1 + t + q*t + t^2 + q*t^2 + q^2*t^2>
     """
-    if n < 1:
-        raise ValueError(f"need a positive number of variables, got n={n}")
-    if cap < 0:
-        raise ValueError(f"t_cap must be nonnegative, got {cap}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"need a positive number of variables, got n={n!r}")
+    _check_cap(cap)
     terms = {Monomial(0, 0, 0): 1}
     coeffs = [1]
     for m in range(1, cap + 1):
@@ -604,8 +632,7 @@ def lhs_base(r: int, k: int, cap: int) -> TruncatedPoly:
     """
     if r < 1 or k < 0:
         raise ValueError(f"need r >= 1 and k >= 0, got r={r}, k={k}")
-    if cap < 0:
-        raise ValueError(f"t_cap must be nonnegative, got {cap}")
+    _check_cap(cap)
     return TruncatedPoly._trusted(
         cap, {Monomial(j, 0, i): 1 for i in range(r) for j in range(k + (i == 0))}
     )

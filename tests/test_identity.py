@@ -681,6 +681,23 @@ def test_theorem_overflows_where_the_decoded_sides_do(monkeypatch, r, n, cap, de
     assert "overflow" in outcomes
 
 
+@pytest.mark.parametrize("r,n,cap", [(1, 6, 3), (1, 8, 5), (1, 8, 11)])
+def test_theorem_overflow_names_the_coefficient_the_product_names(monkeypatch, r, n, cap):
+    # The numerator's first term lies past t = 1 here, so numerator *
+    # expand_denominator reads its slices back out of t order; each limit is
+    # crossed by several slices, and the refusal must name the same one.
+    rhs = numerator(r, n, cap) * expand_denominator(n, cap)
+    largest = sorted(set(rhs.terms.values()))
+    for limit in largest[:: max(1, len(largest) // 20)]:
+        monkeypatch.setattr(poly, "INT64_MAX", limit - 1)
+        clear_caches()
+        expected = theorem_by_decoded_sides(r, n, cap)
+        clear_caches()
+        assert expected[0] == "overflow"
+        assert theorem_outcome(r, n, cap) == expected, limit
+    clear_caches()
+
+
 def test_numerator_regroups_by_color_vector():
     # Summing the G_eps generating functions over all letter colorings
     # recovers the whole-group numerator.

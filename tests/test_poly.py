@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -61,6 +62,21 @@ def test_integer_index_must_be_nonnegative():
     for build, args in negative_caps:
         with pytest.raises(ValueError, match="t_cap must be nonnegative, got -1"):
             build(*args)
+
+
+def test_caps_and_counts_must_be_ints():
+    expand_denominator(2, 1)
+    for cap in (True, 2.0, "2"):
+        builds = [(TruncatedPoly, (cap,)), (lhs_base, (2, 1, cap)), (expand_denominator, (2, cap))]
+        for build, args in builds:
+            with pytest.raises(ValueError, match=re.escape(f"t_cap must be an integer, got {cap!r}")):
+                build(*args)
+    for n in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"number of variables, got n={n!r}")):
+            expand_denominator(n, 1)
+    # A refused True must not have found, or left, the entry of 1.
+    assert type(expand_denominator(2, 1).t_cap) is int
+    assert repr(expand_denominator(2, 1)).startswith("<TruncatedPoly cap=1:")
 
 
 # -- ring operations -----------------------------------------------------------
@@ -953,8 +969,9 @@ def assert_agrees(sides, product, other):
         assert first_difference(*sides) == expected
 
 
-# Products of two such coefficients lie near 2^62, so a bound ||a||_1 ||b||_inf
-# of two or more terms passes 2^63 and needs slots wider than 8 bytes.
+# Coefficients near 2^31 need 8-byte slots.  Coefficients near 2^62 need
+# 9-byte slots, converted one at a time, and a product with a denominator
+# coefficient of 2 or more leaves int64.
 NEAR_2_31 = st.builds(
     lambda sign, offset: sign * (2**31 - offset),
     st.sampled_from([1, -1]),
@@ -964,29 +981,28 @@ AT = st.tuples(st.integers(0, 12), st.integers(0, 6), st.integers(0, 12))
 
 
 @pytest.mark.parametrize(
-    "left,right",
-    [(SMALL, SMALL), (NEAR_2_31, NEAR_2_31), (NEAR_2_62, st.integers(-3, 3))],
-    ids=["small", "near_2_31", "near_2_62"],
+    "coeffs", [SMALL, NEAR_2_31, NEAR_2_62], ids=["small", "near_2_31", "near_2_62"]
 )
 @settings(deadline=None)
-@given(data=st.data(), at=AT, delta=st.integers(-3, 3))
-def test_compare_product_agrees_with_first_difference(left, right, data, at, delta):
-    # c is the exact product, with one coefficient changed unless delta is 0.
-    a, b = data.draw(poly_pairs(left, right))
-    exact = unchecked_product(a, b)
+@given(data=st.data(), n=st.integers(1, 4), at=AT, delta=st.integers(-3, 3))
+def test_compare_product_agrees_with_first_difference(coeffs, data, n, at, delta):
+    # c is the exact a * D, with one coefficient changed unless delta is 0.
+    a = data.draw(st.integers(0, 6).flatmap(lambda cap: polys(cap, coeffs)))
+    denominator = expand_denominator(n, a.t_cap)
+    exact = unchecked_product(a, denominator)
     if not fits(exact):
         with pytest.raises(CoefficientOverflowError):
-            compare_product(a, b, [], 1)
+            compare_product(a, n, [], 1)
         return
     c_terms = changed_terms(exact, at, a.t_cap, delta)
     assume(fits(c_terms))
     c = TruncatedPoly(a.t_cap, c_terms)
     try:
-        product = mul_by_terms(a, b)
+        product = mul_by_terms(a, denominator)
     except CoefficientOverflowError:
-        # The oracle also refuses a partial sum outside int64; a * b does not.
+        # The oracle also refuses a partial sum outside int64; a * D does not.
         product = TruncatedPoly(a.t_cap, exact)
-    assert_agrees(compare_product(a, b, t_free_slices(c), 1), product, c)
+    assert_agrees(compare_product(a, n, t_free_slices(c), 1), product, c)
 
 
 def base_lists(cap):
@@ -994,44 +1010,94 @@ def base_lists(cap):
     return st.lists(base, max_size=cap + 1)
 
 
+def times_inverse_denominator(p, n):
+    """p prod_(j=0)^n (1 - q^j t) by the term-pair oracle: a * D = p for this a."""
+    for j in range(n + 1):
+        p = mul_by_terms(p, poly_of(p.t_cap, {(0, 0, 0): 1, (j, 1, 0): -1}))
+    return p
+
+
 @settings(deadline=None)
-@given(st.integers(0, 4).flatmap(base_lists), st.integers(1, 4), AT, st.integers(-3, 3))
-def test_compare_product_with_powers_agrees_with_first_difference(bases, e, at, delta):
-    # b is sum_k bases[k]**e t^k, with one coefficient changed unless delta is 0.
+@given(
+    st.integers(0, 4).flatmap(base_lists),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    AT,
+    st.integers(-3, 3),
+)
+def test_compare_product_with_powers_agrees_with_first_difference(bases, e, n, at, delta):
+    # a * D is sum_k bases[k]**e t^k, with one coefficient changed unless delta is 0.
     cap = bases[0].t_cap if bases else 0
     power_sum = TruncatedPoly.zero(cap)
     for k, base in enumerate(bases):
         shift = TruncatedPoly.term(cap, 1, t=k)
         power_sum = power_sum + mul_by_terms(chain_power(base, e), shift)
-    one = TruncatedPoly.one(cap)
-    b = TruncatedPoly(cap, changed_terms(power_sum.terms, at, cap, delta))
-    assert_agrees(compare_product(one, b, bases, e), mul_by_terms(one, b), power_sum)
+    changed = TruncatedPoly(cap, changed_terms(power_sum.terms, at, cap, delta))
+    a = times_inverse_denominator(changed, n)
+    product = mul_by_terms(a, expand_denominator(n, cap))
+    assert product == changed
+    assert_agrees(compare_product(a, n, bases, e), product, power_sum)
 
 
 @pytest.mark.parametrize("delta", [0, 1, -1])
 def test_compare_product_in_slots_wider_than_8_bytes(delta):
-    # Every coefficient of a * b is +-2^62, and the bound 3 * 2^62 needs
-    # 9-byte slots, converted one at a time.
-    c = 2**31
-    a = poly_of(2, {(0, 0, 0): c, (1, 0, 0): c, (0, 1, 1): -c})
-    b = poly_of(2, {(0, 0, 0): c, (1, 0, 0): -c, (0, 1, 0): c})
-    assert _slot_width(3 * c * c) == (9, None)
-    product = mul_by_terms(a, b)
+    # a * D = c (1 - u) / (1 - q t) has every coefficient +-2^62, but the
+    # bound ||a||_1 ||D||_inf = 4c needs 9-byte slots, converted one at a time.
+    c = 2**62
+    a = poly_of(2, {(0, 0, 0): c, (0, 1, 0): -c, (0, 0, 1): -c, (0, 1, 1): c})
+    assert _slot_width(4 * c) == (9, None)
+    product = mul_by_terms(a, expand_denominator(1, 2))
+    assert set(map(abs, product.terms.values())) == {c}
     other = TruncatedPoly(2, changed_terms(product.terms, (1, 1, 0), 2, delta))
-    assert_agrees(compare_product(a, b, t_free_slices(other), 1), product, other)
+    assert_agrees(compare_product(a, 1, t_free_slices(other), 1), product, other)
 
 
 def test_compare_product_rejects_bad_arguments():
     one = TruncatedPoly.one(2)
     for e in (0, 2.0, "2", True):
         with pytest.raises(ValueError, match=f"exponent must be a positive integer, got {e}"):
-            compare_product(one, one, [one], e)
+            compare_product(one, 1, [one], e)
+    for n in (0, True, 2.0):
+        with pytest.raises(ValueError, match=f"need a positive number of variables, got n={n}"):
+            compare_product(one, n, [one], 1)
     with pytest.raises(ValueError, match="exceed"):
-        compare_product(one, one, [one] * 4, 1)
+        compare_product(one, 1, [one] * 4, 1)
     with pytest.raises(ValueError, match="t-degree 0"):
-        compare_product(one, one, [TruncatedPoly.term(2, 1, t=1)], 1)
+        compare_product(one, 1, [TruncatedPoly.term(2, 1, t=1)], 1)
     with pytest.raises(ValueError, match="t_cap mismatch"):
-        compare_product(one, TruncatedPoly.one(3), [], 1)
+        compare_product(one, 1, [TruncatedPoly.one(3)], 1)
+
+
+def test_compare_product_packs_the_numerator_once_and_no_denominator(monkeypatch):
+    from wreath_identity.wreath import numerator
+
+    r, n, cap = 2, 3, 5
+    a = numerator(r, n, cap)
+    bases = [lhs_base(r, k, cap) for k in range(cap + 1)]
+    packed, denominators = [], []
+
+    def counted_pack(terms, layout):
+        packed.append(terms)
+        return _pack(terms, layout)
+
+    def counted_denominator(n, cap):
+        denominators.append((n, cap))
+        return expand_denominator(n, cap)
+
+    monkeypatch.setattr(poly, "_pack", counted_pack)
+    monkeypatch.setattr(poly, "expand_denominator", counted_denominator)
+    assert compare_product(a, n, bases, n) is None
+    assert packed == [a.terms, *(base.terms for base in bases)]
+    assert denominators == [(n, cap)]
+
+
+@settings(deadline=None)
+@given(st.integers(0, 8).flatmap(lambda cap: polys(cap, SMALL)), st.integers(1, 4))
+def test_running_sums_are_the_product_with_the_denominator(a, n):
+    # With no bases the power side is zero, so the product comes back decoded.
+    expected = mul_by_terms(a, expand_denominator(n, a.t_cap))
+    zero = TruncatedPoly.zero(a.t_cap)
+    assert compare_product(a, n, [], 1) == (None if a.is_zero() else (expected, zero))
 
 
 def termwise_sum(a, b):
