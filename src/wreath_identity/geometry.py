@@ -29,7 +29,7 @@ import itertools
 from collections.abc import Iterator, Sequence
 from operator import itemgetter
 
-from .poly import Monomial, TruncatedPoly, slice_product
+from .poly import Monomial, TruncatedPoly, _check_cap, slice_product
 from .wreath import (
     DEFAULT_BUDGET,
     EpsilonVector,
@@ -186,8 +186,7 @@ def check_cone_budget(n: int, cap: int, budget: int) -> None:
     A height-k cube slice has up to (k+1)^n points; the message names the
     lowest height that does not fit, the one enumeration would stop at.
     """
-    if cap < 0:
-        raise ValueError(f"t_cap must be nonnegative, got {cap}")
+    _check_cap(cap)
 
     def fits(k: int) -> bool:
         return capped_product(itertools.repeat(k + 1, n), budget) <= budget

@@ -27,6 +27,7 @@ when they run, so ``verify`` without ``--all-steps`` never compiles it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import time
@@ -177,7 +178,7 @@ def descent_shift_check(l: int, n: int) -> VerificationReport:
 
     For every pi, the window in G_eps with eps = (1^l, 0^(n-l)) must satisfy
     Des(window) minus {0} = Des(rho o pi), with 0 a descent exactly when
-    pi(1) <= l (and l >= 1).  The windows are read as permuted letter keys.
+    pi(1) <= l.  The windows are read as permuted letter keys.
     """
     started = time.perf_counter()
     params = {"l": l, "n": n}
@@ -187,7 +188,7 @@ def descent_shift_check(l: int, n: int) -> VerificationReport:
     counterexample = None
     for pi, mask in zip(itertools.permutations(range(1, n + 1)), masks):
         sigma = compose(rho_perm, pi)
-        zero_expected = l >= 1 and pi[0] <= l
+        zero_expected = pi[0] <= l
         if mask[1:] != tuple(map(operator.gt, sigma, sigma[1:])) or mask[0] != zero_expected:
             w = colored_window(eps, pi)
             counterexample = {
@@ -321,22 +322,14 @@ def verify_lemma_same_support(
     perms = list(itertools.permutations(range(1, n + 1)))
     # rows[c][v] is the key of the letter v^c; colors are indexed by position.
     rows = [tuple(bz_sort_key(v, c) for v in range(n + 1)) for c in range(r)]
-    by_word: dict[tuple[tuple[int, ...], ...], list[tuple[bool, ...]]] = {}
 
-    def masks(colors: tuple[int, ...]) -> list[tuple[bool, ...]]:
-        """The descent indicator vector of the window (pi, colors), for every pi."""
-        word = tuple(map(rows.__getitem__, colors))  # one list per distinct key word
-        if word not in by_word:
-            by_word[word] = list(
-                _descent_masks(tuple(map(tuple.__getitem__, word, pi)) for pi in perms)
-            )
-        return by_word[word]
+    @functools.cache
+    def masks(word: tuple[tuple[int, ...], ...]) -> list[tuple[bool, ...]]:
+        """The descent indicator vector of the window with keys word[i][pi(i)], for every pi."""
+        return list(_descent_masks(tuple(map(tuple.__getitem__, word, pi)) for pi in perms))
 
-    lead = lead_masks = None
     for e1, e2 in _same_support_pairs(r, n):
-        if e1 != lead:
-            lead, lead_masks = e1, masks(e1)
-        other_masks = masks(e2)
+        lead_masks, other_masks = (masks(tuple(map(rows.__getitem__, e))) for e in (e1, e2))
         if other_masks != lead_masks:
             pi = next(p for p, x, y in zip(perms, lead_masks, other_masks) if x != y)
             counterexample = {

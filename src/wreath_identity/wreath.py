@@ -385,27 +385,25 @@ def _key_tally(keys: tuple[int, ...]) -> tuple[tuple[tuple[int, int], int], ...]
     return tuple(counts.items())
 
 
-def _running_sums(gs: list[collections.Counter]) -> tuple[list, list]:
-    """(below, above), with below[i] the sum of gs[:i] and above[i] that of gs[i:], i = 0..len(gs).
+def _first_letter_split(
+    gs: list[collections.Counter], dq: int, cap: int
+) -> list[collections.Counter]:
+    """q^dq t B_i + (T - B_i) for i = 0..len(gs), with B_i the sum of gs[:i] and T that of gs.
 
-    The counts are positive, so Counter addition, which drops what is not,
-    is exact.
+    Each is a {(maj, des): count} map.  The gs hold no term past t^cap, and
+    the raised ones past it are dropped.  The counts are positive, so
+    Counter addition and subtraction, which drop only what is not, are exact.
     """
-    below, above = [collections.Counter()], [collections.Counter()]
-    for g in gs:
-        below.append(below[-1] + g)
-    for g in reversed(gs):
-        above.append(above[-1] + g)
-    return below, above[::-1]
+    total = sum(gs, collections.Counter())
+    return [
+        total - b + collections.Counter({(q + dq, d + 1): c for (q, d), c in b.items() if d < cap})
+        for b in itertools.accumulate(gs, operator.add, initial=collections.Counter())
+    ]
 
 
-def _raised(g: collections.Counter, cap: int) -> collections.Counter:
-    """q t g, as {(maj, des): count}, with the terms past t^cap dropped."""
-    return collections.Counter({(q + 1, d + 1): c for (q, d), c in g.items() if d < cap})
-
-
-def _first_letter_step(level: list[collections.Counter], cap: int) -> list[collections.Counter]:
-    """G_n(1), ..., G_n(n) from G_(n-1)(1), ..., G_(n-1)(n-1), each as {(maj, des): count}.
+@functools.lru_cache(maxsize=None)
+def few_colors_pieces(n: int, cap: int) -> tuple:
+    """GF(G_(1^l, 0^(n-l))) for l = 0..n, from the first-letter recursion, walking no window.
 
     G_n(j) sums q^maj t^des over the sigma in S_n with sigma(1) = j.  Write
     sigma = j tau, tau the rest standardised and b = tau(1): position 1
@@ -414,44 +412,32 @@ def _first_letter_step(level: list[collections.Counter], cap: int) -> list[colle
 
         G_n(j)(q, t) = sum_{b<j} q t G_(n-1)(b)(q, q t) + sum_{b>=j} G_(n-1)(b)(q, q t).
 
-    des never falls along the recursion, so terms past t^cap are dropped
-    at every level.
-    """
-    # G(q, q t): every descent also adds one to maj.
-    substituted = [collections.Counter({(q + d, d): c for (q, d), c in g.items()}) for g in level]
-    below, above = _running_sums(substituted)
-    return [_raised(below[j - 1], cap) + above[j - 1] for j in range(1, len(level) + 2)]
-
-
-@functools.lru_cache(maxsize=None)
-def few_colors_pieces(n: int, cap: int) -> tuple:
-    """GF(G_(1^l, 0^(n-l))) for l = 0..n, from the first-letter recursion, walking no window.
-
     Under the colored-letter order the letters of G_(1^l, 0^(n-l)) rank
     as the plain permutation rho o pi, whose descents are the window's at
     positions 1..n-1 (:func:`~wreath_identity.identity.descent_shift_check`);
     position 0 descends, adding to des but not to maj, exactly when the
-    first rank is at most l.  So, with G_n(j) from
-    :func:`_first_letter_step`,
+    first rank is at most l.  So
 
         GF(G_(1^l, 0^(n-l))) = u^l (t sum_{j<=l} G_n(j) + sum_{j>l} G_n(j)).
 
-    :func:`g_epsilon_gf` is its oracle.  The pieces are immutable, so they
-    are built once per (n, cap) and shared.
+    A level is one :func:`_first_letter_split` of the substituted level
+    below (dq = 1), and the pieces are one of G_n(1), ..., G_n(n) (dq = 0).
+    des never falls along the recursion, so terms past t^cap are dropped
+    at every level.  :func:`g_epsilon_gf` is the oracle.  The pieces are
+    immutable, so they are built once per (n, cap) and shared.
     """
     from .poly import Monomial, TruncatedPoly
 
     level = [collections.Counter({(0, 0): 1})]  # G_1(1) = 1
     for _ in range(1, n):
-        level = _first_letter_step(level, cap)
-    below, above = _running_sums(level)
+        # G(q, q t): every descent also adds one to maj.
+        substituted = [
+            collections.Counter({(q + d, d): c for (q, d), c in g.items()}) for g in level
+        ]
+        level = _first_letter_split(substituted, 1, cap)
     return tuple(
-        TruncatedPoly(
-            cap,
-            [(Monomial(q, d + 1, l), c) for (q, d), c in below[l].items()]
-            + [(Monomial(q, d, l), c) for (q, d), c in above[l].items()],
-        )
-        for l in range(n + 1)
+        TruncatedPoly(cap, ((Monomial(q, d, l), c) for (q, d), c in piece.items()))
+        for l, piece in enumerate(_first_letter_split(level, 0, cap))
     )
 
 

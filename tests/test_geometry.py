@@ -1,5 +1,6 @@
 import collections
 import itertools
+import re
 
 import pytest
 
@@ -289,6 +290,14 @@ def test_cone_budget_names_the_lowest_height_that_does_not_fit():
     # A height found by bisection, not by walking 10^30 heights.
     with pytest.raises(BudgetExceededError, match=f"up to {10**30 + 1} exceeds budget"):
         check_cone_budget(1, 10**40, 10**30)
+
+
+def test_cone_budget_refuses_caps_that_are_not_nonnegative_ints():
+    with pytest.raises(ValueError, match="t_cap must be nonnegative, got -1$"):
+        check_cone_budget(2, -1, 10**6)
+    for cap in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"t_cap must be an integer, got {cap!r}")):
+            check_cone_budget(2, cap, 10**6)
 
 
 def test_cone_sum_apex_only():

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import operator
 import sys
 import time
 
@@ -483,17 +484,24 @@ def test_a_wrong_factorised_cone_sum_fails_few_colors_and_corollary(monkeypatch)
     assert not verify_corollary(EpsilonVector((1, 0, 1)), cap=5).ok
 
 
-def flipped_first_letter_step(level, cap):
-    """The first-letter recursion with [b < j] flipped: q t weighs the b >= j instead."""
-    substituted = [collections.Counter({(q + d, d): c for (q, d), c in g.items()}) for g in level]
-    below, above = wreath._running_sums(substituted)
-    return [below[j - 1] + wreath._raised(above[j - 1], cap) for j in range(1, len(level) + 2)]
+first_letter_split = wreath._first_letter_split
+
+
+def flipped_first_letter_split(gs, dq, cap):
+    """At level steps (dq = 1) B_i + q t (T - B_i): q t weighs the b >= j instead of the b < j."""
+    if dq == 0:
+        return first_letter_split(gs, dq, cap)
+    total = sum(gs, collections.Counter())
+    return [
+        b + collections.Counter({(q + 1, d + 1): c for (q, d), c in (total - b).items() if d < cap})
+        for b in itertools.accumulate(gs, operator.add, initial=collections.Counter())
+    ]
 
 
 def test_a_flipped_first_letter_recursion_fails_the_numerator_piece(monkeypatch):
     # The flip counts ascents: G_n(j) becomes G_n(n+1-j), so the totals, and
     # with them the pieces l = 0 and l = n and the theorem at r = 1, stay.
-    monkeypatch.setattr(wreath, "_first_letter_step", flipped_first_letter_step)
+    monkeypatch.setattr(wreath, "_first_letter_split", flipped_first_letter_split)
     clear_caches()
     try:
         assert verify_prop_few_colors(0, 3, cap=5).ok

@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import pickle
@@ -361,7 +362,7 @@ def test_numerator_matches_enumeration_oracle(r, n):
         assert numerator(r, n, cap) == walked.truncate(cap), cap
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_few_colors_pieces_are_the_walked_pieces(n):
     # Piece l is u^l F_l; with u lowered by l it is the walked G_eps tally.
     for cap in (0, 1, n, n + 3):
@@ -372,6 +373,26 @@ def test_few_colors_pieces_are_the_walked_pieces(n):
             assert all(mon.u == l for mon in piece.terms), (l, cap)
             lowered = {(m.q, m.t, m.u - l): c for m, c in piece.terms.items()}
             assert lowered == {(m.q, m.t, m.u - l): c for m, c in walked.items()}, (l, cap)
+
+
+@pytest.mark.parametrize("dq", [0, 1])
+@pytest.mark.parametrize("cap", [0, 1, 3])
+def test_first_letter_split_is_its_definition(dq, cap):
+    # q^dq t sum(gs[:i]) + sum(gs[i:]), truncated at t^cap, for every prefix of gs.
+    terms = [{(0, 0): 1, (2, 1): 3}, {(1, 1): 2, (4, 2): 1}, {}, {(0, 0): 4, (3, 3): 5, (5, 2): 1}]
+    gs = [collections.Counter({(q, d): c for (q, d), c in g.items() if d <= cap}) for g in terms]
+
+    def total(parts):
+        return sum(parts, collections.Counter())
+
+    for m in range(len(gs) + 1):
+        split = wreath._first_letter_split(gs[:m], dq, cap)
+        expected = [
+            collections.Counter({(q + dq, d + 1): c for (q, d), c in total(gs[:i]).items() if d < cap})
+            + total(gs[i:m])
+            for i in range(m + 1)
+        ]
+        assert list(map(dict, split)) == list(map(dict, expected)), (m, dq, cap)
 
 
 def test_numerator_walks_no_window(monkeypatch):
