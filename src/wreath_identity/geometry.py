@@ -10,9 +10,10 @@ decomposes into dilated partially open simplices indexed by permutations
 the composition bijection reads through rho.  It compares integers only.
 
 A cube's slice is a product of coordinate intervals and a point's weight
-is t^k times a product of coordinate weights, so :func:`cone_sum` expands
-each slice as a product of per-coordinate interval sums, one
-``slice_product`` per height, without visiting its lattice points.
+is t^k times a product of coordinate weights, so a cube's cone sum is
+one map {k: [(interval sum, count), ...]} of per-coordinate interval
+sums (:func:`_cube_heights`), which :func:`cone_sum` expands with one
+``slice_product`` without visiting its lattice points.
 :func:`cone_sum_by_enumeration` visits every point and is the oracle it is
 checked against: per height it builds one table of the coordinate weights
 m'(j, k), packed as the int q*span + u, and weighs each point of
@@ -210,8 +211,9 @@ def cone_sum(
     Each height-k slice is the product of its coordinate intervals I_i and
     m = t^k * prod_i m', so by distributivity the slice sums to
     t^k * prod_i sum_{j in I_i} m'(j, k).  Coordinates of one color share
-    an interval, so a slice is one :func:`~wreath_identity.poly.slice_product`
-    of the distinct interval sums raised to their multiplicities.  The
+    an interval, so a slice is the product of the distinct interval sums
+    raised to their multiplicities (:func:`_cube_heights`), and the cone
+    sum is one :func:`~wreath_identity.poly.slice_product` of them.  The
     budget bounds the lattice points this stands for, so it refuses exactly
     where :func:`cone_sum_by_enumeration` does.
     """
@@ -222,12 +224,17 @@ def cone_sum(
 
 @functools.lru_cache(maxsize=None)
 def _factorised_cone_sum(colors: tuple[int, ...], cap: int) -> TruncatedPoly:
+    return slice_product(_cube_heights(colors, cap), cap)
+
+
+@functools.lru_cache(maxsize=None)
+def _cube_heights(colors: tuple[int, ...], cap: int) -> dict:
+    """The cone sum of the cube with these sorted colors as {k: [(interval sum, count), ...]}.
+
+    The map is shared by every caller, which must not change it.
+    """
     counts = collections.Counter(colors).items()
-    total = TruncatedPoly.zero(cap)
-    for k in range(cap + 1):
-        intervals = [(_interval_sum(color, k, cap), count) for color, count in counts]
-        total = total + slice_product(intervals, k, cap)
-    return total
+    return {k: [(_interval_sum(c, k, cap), e) for c, e in counts] for k in range(cap + 1)}
 
 
 def _interval_sum(color: int, k: int, cap: int) -> TruncatedPoly:

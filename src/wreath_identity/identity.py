@@ -37,7 +37,6 @@ from .poly import (
     Monomial,
     TruncatedPoly,
     compare_product,
-    expand_denominator,
     first_difference,
     lhs_base,
     q_integer,
@@ -310,8 +309,9 @@ def verify_lemma_same_support(
     support, and every pi, the two windows have identical descent sets.
     Cone part: the cone sums of the same pairs of cubes agree after
     shifting by u to a common color weight.  Every term of a cone sum sits
-    at u^col, so the sums are compared with u lowered by their col
-    (:func:`_lowered`), and shifted only for a failing pair's report.
+    at u^col, col the sum of the colors, and the sum depends on nothing but
+    the sorted colors, so it is lowered by its col once per sorted colors,
+    and shifted only for a failing pair's report.
     """
     from .geometry import cone_sum
 
@@ -342,62 +342,24 @@ def verify_lemma_same_support(
             }
             return _finish("same_support", params, counterexample, started)
 
-    # Keyed on the cone sum object and the lowering; the entry holds the
-    # object, so its id is not reused while the dict lives.
-    unshifted: dict[tuple[int, int], tuple[TruncatedPoly, dict]] = {}
-
-    def at_u0(total: TruncatedPoly, u: int) -> dict:
-        key = (id(total), u)
-        if key not in unshifted:
-            unshifted[key] = total, _lowered(total, u)
-        return unshifted[key][1]
+    @functools.cache
+    def at_u0(colors: tuple[int, ...]) -> dict[tuple[int, int, int], int]:
+        """The cone sum of the cube with these sorted colors as (q, t, u - col) keys."""
+        total = cone_sum(EpsilonVector(colors), cap, budget)
+        return {(q, t, u - sum(colors)): c for (q, t, u), c in total.terms.items()}
 
     for e1, e2 in _same_support_pairs(r, n):
-        lhs = cone_sum(EpsilonVector(e1), cap, budget)
-        rhs = cone_sum(EpsilonVector(e2), cap, budget)
-        if at_u0(lhs, sum(e1)) == at_u0(rhs, sum(e2)):
-            continue
-        context = {"part": "cone_sums", "eps": list(e1), "eps_prime": list(e2)}
-        report = report_from_comparison(
-            "same_support",
-            params,
-            lhs * TruncatedPoly.term(cap, 1, u=sum(e2)),
-            rhs * TruncatedPoly.term(cap, 1, u=sum(e1)),
-            started,
-            context,
-        )
-        if not report.ok:
-            return report
+        if at_u0(tuple(sorted(e1))) != at_u0(tuple(sorted(e2))):
+            return report_from_comparison(
+                "same_support",
+                params,
+                cone_sum(EpsilonVector(e1), cap, budget) * TruncatedPoly.term(cap, 1, u=sum(e2)),
+                cone_sum(EpsilonVector(e2), cap, budget) * TruncatedPoly.term(cap, 1, u=sum(e1)),
+                started,
+                {"part": "cone_sums", "eps": list(e1), "eps_prime": list(e2)},
+            )
 
     return _finish("same_support", params, None, started)
-
-
-def _lowered(poly: TruncatedPoly, u: int) -> dict[tuple[int, int, int], int]:
-    """The terms of poly as plain (q, t, e - u) keys: its u-exponents lowered by u."""
-    return {(q, t, e - u): c for (q, t, e), c in poly.terms.items()}
-
-
-_group_sides: dict[tuple[frozenset, int, int], TruncatedPoly] = {}
-
-
-def _group_side_at_u0(eps: EpsilonVector, cap: int) -> TruncatedPoly:
-    """GF(G_eps) * expand_denominator(n, cap) divided by u^col, kept per (maj, des) tally, n and cap.
-
-    The tally is :func:`~wreath_identity.wreath._key_tally`'s, of the letter
-    keys of eps.  Every G_eps with l colored letters has the tally of
-    G_(1^l, 0^(n-l)), so the cache holds at most n+1 products per (n, cap).
-    """
-    tally = _key_tally(tuple(map(bz_sort_key, range(1, eps.n + 1), eps.colors)))
-    key = (frozenset(tally), eps.n, cap)
-    if key not in _group_sides:
-        at_u0 = TruncatedPoly(cap, ((Monomial(q, d, 0), count) for (q, d), count in tally))
-        _group_sides[key] = at_u0 * expand_denominator(eps.n, cap)
-    return _group_sides[key]
-
-
-def _group_side(eps: EpsilonVector, cap: int) -> TruncatedPoly:
-    """GF(G_eps) * expand_denominator(n, cap)."""
-    return _group_side_at_u0(eps, cap) * TruncatedPoly.term(cap, 1, u=eps.col())
 
 
 def verify_prop_few_colors(
@@ -407,13 +369,13 @@ def verify_prop_few_colors(
 
     The cone sum by lattice-point enumeration is the geometric side.  It
     must equal the closed form u^l sum_k [k]_q^l [k+1]_q^(n-l) t^k, one
-    ``slice_product`` per height, the G_eps generating function over the
-    expanded denominator, and the factorised :func:`cone_sum` that every
-    other step uses.  These n+1 cubes are the only ones whose lattice
-    points a run enumerates.  Last, the piece u^l F_l that
-    :func:`~wreath_identity.wreath.numerator` takes from the first-letter
-    recursion (:func:`~wreath_identity.wreath.few_colors_pieces`) must
-    equal the walked :func:`g_epsilon_gf`.
+    ``slice_product`` of its map of heights; the G_eps generating function
+    over the denominator, compared with that map; and the factorised
+    :func:`cone_sum` that every other step uses.  These n+1 cubes are the
+    only ones whose lattice points a run enumerates.  Last, the piece u^l
+    F_l that :func:`~wreath_identity.wreath.numerator` takes from the
+    first-letter recursion (:func:`~wreath_identity.wreath.few_colors_pieces`)
+    must equal the walked :func:`g_epsilon_gf`.
     """
     from .geometry import cone_sum, cone_sum_by_enumeration
 
@@ -421,18 +383,23 @@ def verify_prop_few_colors(
     params = {"l": l, "n": n, "t_cap": cap}
     eps = few_colors_eps(l, n)
     geometric = cone_sum_by_enumeration(eps, cap, budget)
+    group = g_epsilon_gf(eps, cap)
 
     u = TruncatedPoly.term(cap, 1, u=1)
-    closed = TruncatedPoly.zero(cap)
-    for k in range(cap + 1):
-        factors = [(q_integer(k, cap), l), (q_integer(k + 1, cap), n - l), (u, l)]
-        closed = closed + slice_product(factors, k, cap)
+    heights = {
+        k: [(q_integer(k, cap), l), (q_integer(k + 1, cap), n - l), (u, l)]
+        for k in range(cap + 1)
+    }
+    closed = slice_product(heights, cap)
+    # Equal sides come back as None.  The part is reached only when closed
+    # equals geometric, so either stands for the cone sum.
+    quotient, cone = compare_product(group, n, heights) or (closed, closed)
 
     sides = (
         ("closed_form", geometric, closed),
-        ("group_side", geometric, _group_side(eps, cap)),
+        ("group_side", cone, quotient),
         ("factorised", cone_sum(eps, cap, budget), geometric),
-        ("numerator_piece", g_epsilon_gf(eps, cap), few_colors_pieces(n, cap)[l]),
+        ("numerator_piece", group, few_colors_pieces(n, cap)[l]),
     )
     for part, lhs, rhs in sides:
         report = report_from_comparison(
@@ -489,18 +456,30 @@ def verify_corollary(
 ) -> VerificationReport:
     """Cone sum of any cube equals its G_eps generating function over the denominator.
 
-    Both sides sit at u^col, so they are compared with u lowered by col, and
-    the group side is shifted only for a failing report.
+    After the cone's budget check, both sides depend on eps only through
+    the (maj, des) tally of its letter keys and its sorted colors, so they
+    are compared once per such key (:func:`_cone_against_group`).
     """
-    from .geometry import cone_sum
+    from .geometry import check_cone_budget
 
     started = time.perf_counter()
     params = {"eps": list(eps.colors), "t_cap": cap}
-    lhs = cone_sum(eps, cap, budget)
-    if _lowered(lhs, eps.col()) == _group_side_at_u0(eps, cap).terms:
+    check_cone_budget(eps.n, cap, budget)
+    tally = _key_tally(tuple(map(bz_sort_key, range(1, eps.n + 1), eps.colors)))
+    sides = _cone_against_group(frozenset(tally), tuple(sorted(eps.colors)), cap)
+    if sides is None:
         return _finish("cone_generating_function", params, None, started)
-    rhs = _group_side(eps, cap)
+    rhs, lhs = sides
     return report_from_comparison("cone_generating_function", params, lhs, rhs, started)
+
+
+@functools.lru_cache(maxsize=None)
+def _cone_against_group(tally: frozenset, colors: tuple[int, ...], cap: int):
+    """:func:`compare_product` of GF(G_eps), the tally at u^col, and the cube's map of heights."""
+    from .geometry import _cube_heights
+
+    group = TruncatedPoly(cap, ((Monomial(q, d, sum(colors)), count) for (q, d), count in tally))
+    return compare_product(group, len(colors), _cube_heights(colors, cap))
 
 
 def verify_theorem(
@@ -527,7 +506,7 @@ def verify_theorem(
     started = time.perf_counter()
     params = {"r": r, "n": n, "t_cap": cap}
     sides = compare_product(
-        numerator(r, n, cap, budget), n, [lhs_base(r, k, cap) for k in range(cap + 1)], n
+        numerator(r, n, cap, budget), n, {k: [(lhs_base(r, k, cap), n)] for k in range(cap + 1)}
     )
     if sides is None:
         return _finish("theorem", params, None, started)

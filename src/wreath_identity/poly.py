@@ -13,8 +13,9 @@ a_i^e_i as one int: a factor on one t-degree is one big-int power, any
 other factor is multiplied in e_i times, one big-int product per pair of
 t-degrees whose sum is at most the cap, and nothing is decoded between
 steps.  A result past the cap, or with a zero factor, is zero without any
-arithmetic.  ``a * b``, ``a ** e``, ``slice_product`` and the powers of
-``compare_product`` all go through it.
+arithmetic.  ``a * b``, ``a ** e`` and each height of a map {t: [(a_ti,
+e_ti), ...]} of factors on t-degree 0, which ``slice_product`` and
+``compare_product`` read as sum_t t^t prod_i a_ti^e_ti, go through it.
 
 One bound sizes the slots: no coefficient of prod_i a_i^e_i exceeds
 min_i ||a_i||_inf ||a_i||_1^(e_i-1) prod_(j != i) ||a_j||_1^e_j, which is
@@ -33,15 +34,15 @@ the words that differ from the bias are decoded into monomials.  A sum of
 polynomials with disjoint supports is the union of their term maps.
 ``mul_by_terms`` keeps the term-pair loop as the oracle.
 
-The theorem's two sides, a prod_(j=0)^n 1/(1 - q^j t) and sum_k base_k^e
-t^k, are compared by ``compare_product`` without decoding either.  Both
-are packed on one slot layout, wide enough for the bound of a *
-``expand_denominator(n, cap)`` and of every power.  The right side takes
-no product: packing is evaluation at 256^w, a ring homomorphism, so a is
-packed once and each factor 1/(1 - q^j t) is a running sum over ascending
-t, x_t += x_(t-1) shifted by j*U slots.  Each left t-slice is one big-int
-power.  Equal slices are then equal ints.  The product's slices are
-range-checked through their least and greatest words, the powers' only
+The theorem and each cube's cone sum say a prod_(j=0)^n 1/(1 - q^j t)
+= sum_t t^t prod_i a_ti^e_ti, and ``compare_product`` compares the two
+sides without decoding either.  Both are packed on one slot layout, wide
+enough for the bound of a * ``expand_denominator(n, cap)`` and of every
+height.  The left side takes no product: packing is evaluation at
+256^w, a ring homomorphism, so a is packed once and each factor 1/(1 -
+q^j t) is a running sum over ascending t, x_t += x_(t-1) shifted by j*U
+slots.  Equal slices are then equal ints.  The left slices are
+range-checked through their least and greatest words, the heights' only
 when a slice differs, and only then are both sides decoded into
 monomials, for the counterexample.
 
@@ -309,6 +310,8 @@ _T, _U = itemgetter(1), itemgetter(2)
 _Layout = tuple[int, int, str | None]
 # Pairs (a_i, e_i) that stand for prod_i a_i ** e_i.
 _Factors = Sequence[tuple[dict[Monomial, int], int]]
+# {t: [(a_ti, e_ti), ...]}, every a_ti on t-degree 0: sum_t t^t prod_i a_ti ** e_ti.
+_Heights = Mapping[int, Sequence[tuple[TruncatedPoly, int]]]
 
 
 def _slot_width(bound: int) -> tuple[int, str | None]:
@@ -463,69 +466,69 @@ def _product(factors: _Factors, cap: int, t: int = 0) -> dict[Monomial, int]:
     return _decode(_packed(factors, cap, layout, t), layout)
 
 
-def slice_product(
-    factors: Sequence[tuple[TruncatedPoly, int]], t: int, cap: int
-) -> TruncatedPoly:
-    """prod_i a_i ** e_i * t^t, for factors (a_i, e_i) that each lie on t-degree 0.
+def _height_factors(heights: _Heights, cap: int) -> dict[int, _Factors]:
+    """The factors' term maps at each height up to the cap; every height and factor is checked.
 
-    One ``_product``: one pack per factor, big-int powers and products, one
-    readback, refused exactly when a coefficient of the result leaves
-    int64, and zero without any arithmetic when t > cap.
+    Heights past the cap add nothing, so they are dropped after the check.
+    """
+    _check_cap(cap)
+    for t, factors in heights.items():
+        if not _is_int(t) or t < 0:
+            raise ValueError(f"t-exponent must be a nonnegative integer, got {t}")
+        for a, e in factors:
+            if a.t_cap != cap:
+                raise ValueError(f"t_cap mismatch: {a.t_cap} vs {cap}")
+            if not _is_int(e) or e < 0:
+                raise ValueError(f"exponent must be a nonnegative integer, got {e}")
+            if any(map(_T, a._terms)):
+                raise ValueError("every factor must lie on t-degree 0")
+    return {t: [(a._terms, e) for a, e in f] for t, f in heights.items() if t <= cap}
 
-    >>> slice_product([(q_integer(2, 3), 2), (u_integer(2, 3), 1)], 1, 3)
+
+def slice_product(heights: _Heights, cap: int) -> TruncatedPoly:
+    """sum_t t^t prod_i a_ti ** e_ti truncated at t^cap, for heights {t: [(a_ti, e_ti), ...]}.
+
+    One ``_product`` per height, so each t-slice is refused exactly when
+    one of its coefficients leaves int64; the slices are disjoint, so their
+    sum is the union of their terms.
+
+    >>> slice_product({1: [(q_integer(2, 3), 2), (u_integer(2, 3), 1)]}, 3)
     <TruncatedPoly cap=3: t + t*u + 2*q*t + 2*q*t*u + q^2*t + q^2*t*u>
     """
-    if not _is_int(t) or t < 0:
-        raise ValueError(f"t-exponent must be a nonnegative integer, got {t}")
-    for a, e in factors:
-        if a.t_cap != cap:
-            raise ValueError(f"t_cap mismatch: {a.t_cap} vs {cap}")
-        if not _is_int(e) or e < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {e}")
-        if any(map(_T, a._terms)):
-            raise ValueError("every factor must lie on t-degree 0")
-    return TruncatedPoly._trusted(cap, _product([(a._terms, e) for a, e in factors], cap, t))
+    terms: dict[Monomial, int] = {}
+    for t, factors in _height_factors(heights, cap).items():
+        terms.update(_product(factors, cap, t))
+    return TruncatedPoly._trusted(cap, terms)
 
 
 def compare_product(
-    a: TruncatedPoly, n: int, bases: Sequence[TruncatedPoly], e: int
+    a: TruncatedPoly, n: int, heights: _Heights
 ) -> tuple[TruncatedPoly, TruncatedPoly] | None:
-    """Compare a prod_(j=0)^n 1/(1 - q^j t) with sum_k bases[k]**e t^k as packed t-slices.
+    """Compare a prod_(j=0)^n 1/(1 - q^j t) with ``slice_product(heights, cap)`` as packed slices.
 
-    The at most t_cap + 1 bases lie on t-degree 0.  Both sides are packed
-    on one slot layout, wide enough for the ``_bound`` of a *
-    ``expand_denominator(n, cap)`` and of every power, so equal slices are
-    equal ints.  a is packed once, then multiplied by each 1/(1 - q^j t) as
-    a running sum over ascending t, x_t += x_(t-1) shifted by j*span slots:
-    no slice of the denominator is packed and none is multiplied.  Every
-    slice of the product is range-checked, in the order that ``a *
-    expand_denominator(n, cap)`` reads them back, so an overflow is refused
-    with that product's message.  The powers are range-checked, in order,
-    only when a slice differs, since equal slices have the same words.
-    Returns None when every slice agrees, else both sides decoded: (the
-    product, the powers' sum).
+    Both sides are packed on one slot layout, wide enough for the
+    ``_bound`` of a * ``expand_denominator(n, cap)`` and of every height,
+    so equal slices are equal ints.  a is packed once, then multiplied by
+    each 1/(1 - q^j t) as a running sum over ascending t, x_t += x_(t-1)
+    shifted by j*span slots: no slice of the denominator is packed and none
+    is multiplied.  Every slice of the product is range-checked, in the
+    order that ``a * expand_denominator(n, cap)`` reads them back, so an
+    overflow is refused with that product's message; the heights, in
+    order, only when a slice differs.  Returns None when every slice
+    agrees, else both sides decoded: (the product, the heights' sum).
 
-    >>> bases = [q_integer(k + 1, 2) for k in range(3)]   # 1/((1 - t)(1 - q t))
-    >>> compare_product(TruncatedPoly.one(2), 1, bases, 1) is None
+    >>> heights = {k: [(q_integer(k + 1, 2), 1)] for k in range(3)}   # 1/((1 - t)(1 - q t))
+    >>> compare_product(TruncatedPoly.one(2), 1, heights) is None
     True
-    >>> compare_product(TruncatedPoly.one(2), 1, bases[:2], 1)[1]
+    >>> compare_product(TruncatedPoly.one(2), 1, {k: heights[k] for k in (0, 1)})[1]
     <TruncatedPoly cap=2: 1 + t + q*t>
     """
     cap = a.t_cap
-    if not _is_int(e) or e < 1:
-        raise ValueError(f"exponent must be a positive integer, got {e}")
-    if len(bases) > cap + 1:
-        raise ValueError(f"{len(bases)} bases exceed t_cap {cap}")
-    for base in bases:
-        if base.t_cap != cap:
-            raise ValueError(f"t_cap mismatch: {cap} vs {base.t_cap}")
-        if any(map(_T, base._terms)):
-            raise ValueError("every base must lie on t-degree 0")
+    powers = _height_factors(heights, cap)
     # expand_denominator checks n, refuses an overflow of its own first,
     # and sizes the layout as the product's second factor.
     factors = [(a._terms, 1), (expand_denominator(n, cap)._terms, 1)]
-    powers = [[(base._terms, e)] for base in bases]
-    bound, span = map(max, zip(*map(_bound, [factors, *powers])))
+    bound, span = map(max, zip(*map(_bound, [factors, *powers.values()])))
     layout = (span, *_slot_width(bound))
     packed = _pack(a._terms, layout)
     product = [packed.get(t, 0) for t in range(cap + 1)]
@@ -538,8 +541,8 @@ def compare_product(
     for t in dict.fromkeys(t1 + t2 for t1 in packed for t2 in range(cap + 1 - t1)):
         _words(product[t], layout)
     power_sum: dict[int, int] = {}
-    for k, power in enumerate(powers):
-        power_sum.update(_packed(power, cap, layout, k))
+    for t, power in powers.items():
+        power_sum.update(_packed(power, cap, layout, t))
     if {t: value for t, value in enumerate(product) if value} == power_sum:
         return None
     return (
@@ -648,7 +651,7 @@ def lhs_term(r: int, n: int, k: int, cap: int) -> TruncatedPoly:
         raise ValueError(f"r and n must be positive, got r={r}, n={n}")
     if k < 0 or k > cap:
         raise ValueError(f"k must lie in [0, cap], got k={k}, cap={cap}")
-    return slice_product([(lhs_base(r, k, cap), n)], k, cap)
+    return slice_product({k: [(lhs_base(r, k, cap), n)]}, cap)
 
 
 def first_difference(a: TruncatedPoly, b: TruncatedPoly) -> tuple[Monomial, int, int] | None:

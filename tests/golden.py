@@ -5,7 +5,8 @@ descent tables map window text to the expected descent set.
 :func:`tuple_order_descents` restates the descent rule without the
 package's letter key, so that the key's fast paths have a reference that
 a wrong key does not also change.  :func:`clear_caches` empties every
-cache of computed polynomials, for tests that lower ``poly.INT64_MAX``.
+cache of computed polynomials and comparisons, for tests that lower
+``poly.INT64_MAX`` or patch what a cached result is built from.
 """
 
 from wreath_identity import geometry, identity, poly, wreath
@@ -17,7 +18,8 @@ def clear_caches():
     wreath._key_tally.cache_clear()
     wreath.few_colors_pieces.cache_clear()
     geometry._factorised_cone_sum.cache_clear()
-    identity._group_sides.clear()
+    geometry._cube_heights.cache_clear()
+    identity._cone_against_group.cache_clear()
 
 
 def tuple_order_descents(w):

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import math
 import operator
 import sys
 import time
@@ -12,6 +13,7 @@ from wreath_identity.poly import (
     CoefficientOverflowError,
     Monomial,
     TruncatedPoly,
+    compare_product,
     expand_denominator,
     first_difference,
     lhs_term,
@@ -26,6 +28,7 @@ from wreath_identity.wreath import (
     maj,
     numerator,
 )
+from wreath_identity.cli import all_step_reports
 from wreath_identity.geometry import find_simplex
 from wreath_identity.identity import (
     Partition,
@@ -347,11 +350,13 @@ def test_a_wrong_letter_key_fails_same_support_with_colors_by_position(monkeypat
 
 
 def test_a_wrong_cone_sum_fails_same_support_with_its_first_pair(monkeypatch):
+    # Like the factorised cone sum, the wrong one depends only on the
+    # sorted colors; (0, 1, 2) is the first vector of that multiset met.
     factorised = geometry.cone_sum
 
     def cone_sum(eps, cap, budget):
         total = factorised(eps, cap, budget)
-        if eps.colors == (2, 0, 1):
+        if sorted(eps.colors) == [0, 1, 2]:
             total = total + TruncatedPoly.term(cap, 1, q=1, t=2)
         return total
 
@@ -360,8 +365,8 @@ def test_a_wrong_cone_sum_fails_same_support_with_its_first_pair(monkeypatch):
     assert not report.ok
     assert report.counterexample == {
         "part": "cone_sums",
-        "eps": [1, 0, 1],
-        "eps_prime": [2, 0, 1],
+        "eps": [0, 1, 1],
+        "eps_prime": [0, 1, 2],
         "monomial": {"q": 1, "t": 2, "u": 2},
         "lhs": 0,
         "rhs": 1,
@@ -455,7 +460,7 @@ def test_a_wrong_omega_fails_triple_preserving(monkeypatch, letter_set, eps, eps
 
 @pytest.mark.parametrize("eps", [(0, 2, 1), (2, 1)])
 def test_a_wrong_letter_key_fails_the_corollary(monkeypatch, eps):
-    # The passing run fills the caches of the group side first; the wrong
+    # The passing run fills the comparison cache first; the wrong
     # key ties v^2 with (v+1)^1, which changes the key tuple and G_eps's
     # descents but not the cone sum.
     eps = EpsilonVector(eps)
@@ -466,22 +471,51 @@ def test_a_wrong_letter_key_fails_the_corollary(monkeypatch, eps):
     assert report.counterexample == {"monomial": {"q": 0, "t": 1, "u": 3}, "lhs": 1, "rhs": 2}
 
 
-def test_a_wrong_factorised_cone_sum_fails_few_colors_and_corollary(monkeypatch):
-    factorised = geometry.cone_sum
-
-    def cone_sum(eps, cap, budget):
-        return factorised(eps, cap, budget) + TruncatedPoly.term(cap, 1, q=1, t=cap)
-
-    monkeypatch.setattr(geometry, "cone_sum", cone_sum)
-    report = verify_prop_few_colors(2, 3, cap=5)
+@pytest.mark.parametrize(
+    "l,at,lhs,rhs",
+    [(0, (0, 0, 0), 1, 0), (1, (1, 1, 1), 2, 1), (2, (1, 1, 2), 1, 2), (3, (0, 0, 3), 0, 1)],
+)
+def test_a_wrong_letter_key_fails_the_few_colors_group_side(monkeypatch, l, at, lhs, rhs):
+    # The key reverses the order of the uncolored letters, so G_eps's
+    # descents change but no cone sum does: the closed form passes and the
+    # group side is the first part to fail.
+    patch_letter_key(monkeypatch, lambda value, color: value if color > 0 else -value)
+    clear_caches()
+    try:
+        report = verify_prop_few_colors(l, 3, cap=5)
+    finally:
+        clear_caches()
     assert not report.ok
+    q, t, u = at
     assert report.counterexample == {
-        "part": "factorised",
-        "monomial": {"q": 1, "t": 5, "u": 0},
-        "lhs": 1,
-        "rhs": 0,
+        "part": "group_side",
+        "monomial": {"q": q, "t": t, "u": u},
+        "lhs": lhs,
+        "rhs": rhs,
     }
-    assert not verify_corollary(EpsilonVector((1, 0, 1)), cap=5).ok
+
+
+def test_a_wrong_factorised_cone_sum_fails_few_colors_and_corollary(monkeypatch):
+    # The wrong map multiplies the cone sum's top height by 1 + q.  Both
+    # cone_sum and the corollary read the cube's map.
+    cube_heights = geometry._cube_heights
+
+    def wrong(colors, cap):
+        heights = dict(cube_heights(colors, cap))
+        heights[cap] = heights[cap] + [(q_integer(2, cap), 1)]
+        return heights
+
+    clear_caches()
+    monkeypatch.setattr(geometry, "_cube_heights", wrong)
+    try:
+        report = verify_prop_few_colors(2, 3, cap=5)
+        corollary = verify_corollary(EpsilonVector((1, 0, 1)), cap=5)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    difference = {"monomial": {"q": 1, "t": 5, "u": 2}, "lhs": 4, "rhs": 3}
+    assert report.counterexample == {"part": "factorised", **difference}
+    assert corollary.counterexample == difference
 
 
 first_letter_split = wreath._first_letter_split
@@ -523,12 +557,40 @@ def test_a_flipped_first_letter_recursion_fails_the_numerator_piece(monkeypatch)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_group_side_is_built_once_per_tally(n):
-    # Every eps with l colored letters has the tally of G_(1^l, 0^(n-l)).
+def test_corollary_compares_once_per_tally_and_color_multiset(monkeypatch, n):
+    # Every eps with one color multiset has the tally of its sorted colors,
+    # so the 3^n corollaries make one comparison per multiset.
+    compared = []
+
+    def counted(*args):
+        compared.append(args)
+        return compare_product(*args)
+
     clear_caches()
+    monkeypatch.setattr(identity, "compare_product", counted)
     for colors in itertools.product(range(3), repeat=n):
         assert verify_corollary(EpsilonVector(colors), cap=n + 1).ok
-    assert len(identity._group_sides) == n + 1
+    assert len(compared) == math.comb(n + 2, 2)
+
+
+def test_no_step_multiplies_by_the_expanded_denominator(monkeypatch):
+    # compare_product reads expand_denominator's term map only to size its
+    # slots; every product of every step goes through _packed.
+    denominator = expand_denominator(3, 6).terms
+    factors = []
+    packed = poly._packed
+
+    def recorded(pairs, *args):
+        factors.extend(a for a, _ in pairs)
+        return packed(pairs, *args)
+
+    clear_caches()
+    monkeypatch.setattr(poly, "_packed", recorded)
+    try:
+        assert all(report.ok for report in all_step_reports(3, 3, 6, 10**7))
+    finally:
+        clear_caches()
+    assert factors and denominator not in factors
 
 
 @pytest.mark.parametrize("r,n,passes", [(1, 15, True), (1, 16, False), (3, 12, True), (3, 13, False)])

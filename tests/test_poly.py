@@ -783,35 +783,46 @@ def factor_lists(cap, coeffs, exponents, top=3):
     return st.lists(st.tuples(factor, exponents), max_size=3)
 
 
-def product_args(coeffs, exponents):
-    """(factors, t, cap), with t up to two past the cap."""
-    return st.integers(0, 5).flatmap(
-        lambda cap: st.tuples(
-            factor_lists(cap, coeffs, exponents), st.integers(0, cap + 2), st.just(cap)
-        )
+def height_maps(cap, coeffs, exponents, top=3):
+    """Maps {t: factor list} of up to three heights, each up to two past the cap."""
+    return st.dictionaries(
+        st.integers(0, cap + 2), factor_lists(cap, coeffs, exponents, top), max_size=3
     )
+
+
+def chain_sum(heights, cap):
+    """sum_t t^t prod a ** e over the heights, one chain product each: the oracle."""
+    total = TruncatedPoly.zero(cap)
+    for t, factors in heights.items():
+        total = total + chain_product(factors, t, cap)
+    return total
 
 
 # The term-pair chain can take longer than the default deadline.
 @settings(deadline=None)
-@given(product_args(st.integers(-3, 3), st.integers(0, 3)))
+@given(
+    st.integers(0, 5).flatmap(
+        lambda cap: st.tuples(height_maps(cap, st.integers(-3, 3), st.integers(0, 3)), st.just(cap))
+    )
+)
 def test_slice_product_matches_the_product_chain(args):
-    # Zero exponents, zero factors and t past the cap are all drawn.
-    factors, t, cap = args
-    assert slice_product(factors, t, cap) == chain_product(factors, t, cap)
+    # Zero exponents, zero factors and heights past the cap are all drawn.
+    heights, cap = args
+    assert slice_product(heights, cap) == chain_sum(heights, cap)
 
 
 def test_slice_product_edge_cases():
     cap = 3
     zero, p = TruncatedPoly.zero(cap), q_integer(3, cap)
-    assert slice_product([], 2, cap) == TruncatedPoly.term(cap, 1, t=2)
-    assert slice_product([(zero, 0), (p, 0)], 1, cap) == TruncatedPoly.term(cap, 1, t=1)
-    assert slice_product([(zero, 2), (p, 1)], 0, cap) == zero
+    assert slice_product({}, cap) == zero
+    assert slice_product({2: []}, cap) == TruncatedPoly.term(cap, 1, t=2)
+    assert slice_product({1: [(zero, 0), (p, 0)]}, cap) == TruncatedPoly.term(cap, 1, t=1)
+    assert slice_product({0: [(zero, 2), (p, 1)]}, cap) == zero
     # Past the cap nothing is multiplied: the chain refuses this product.
     big = TruncatedPoly.term(cap, 2**40)
-    assert slice_product([(big, 3)], cap + 1, cap) == zero
+    assert slice_product({cap + 1: [(big, 3)], 0: [(p, 1)]}, cap) == p
     with pytest.raises(CoefficientOverflowError):
-        slice_product([(big, 3)], cap, cap)
+        slice_product({cap: [(big, 3)]}, cap)
 
 
 @pytest.mark.parametrize(
@@ -823,10 +834,12 @@ def test_slice_product_edge_cases():
     ],
 )
 def test_slice_product_rejects_bad_factors(factors, error):
-    with pytest.raises(ValueError, match=error):
-        slice_product(factors, 0, 3)
+    # A height past the cap adds nothing, but its factors are checked too.
+    for t in (0, 4):
+        with pytest.raises(ValueError, match=error):
+            slice_product({t: factors}, 3)
     with pytest.raises(ValueError, match="t-exponent must be a nonnegative integer, got -1"):
-        slice_product([], -1, 3)
+        slice_product({-1: []}, 3)
 
 
 @given(st.integers(0, 4).flatmap(lambda cap: slice_polys(cap, SMALL.filter(bool), t=0)), st.integers(1, 8))
@@ -839,7 +852,7 @@ def test_a_single_factor_gets_the_power_bound_slot_width(a, e):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(poly, "_slot_width", recorded)
-        power = slice_product([(a, e)], 0, a.t_cap)
+        power = slice_product({0: [(a, e)]}, a.t_cap)
     # ||a||_1^(e-1) * ||a||_inf
     sizes = list(map(abs, a.terms.values()))
     power_bound = sum(sizes) ** (e - 1) * max(sizes)
@@ -865,10 +878,10 @@ def test_slice_product_refuses_exactly_past_int64(constants, fits_int64):
     factors = [(TruncatedPoly.term(cap, c), e) for c, e in constants] + [(q_integer(2, cap), 1)]
     if fits_int64:
         expected = poly_of(cap, {(0, 1, 0): exact, (1, 1, 0): exact})
-        assert slice_product(factors, 1, cap) == expected == chain_product(factors, 1, cap)
+        assert slice_product({1: factors}, cap) == expected == chain_product(factors, 1, cap)
     else:
         with pytest.raises(CoefficientOverflowError):
-            slice_product(factors, 1, cap)
+            slice_product({1: factors}, cap)
 
 
 def near_int64_products(exponents):
@@ -888,10 +901,10 @@ def test_slice_product_refuses_exactly_where_a_coefficient_leaves_int64(args):
     factors, t, cap = args
     exact = unchecked_slice_product(factors, t, cap)
     if fits(exact):
-        assert slice_product(factors, t, cap).terms == exact
+        assert slice_product({t: factors}, cap).terms == exact
     else:
         with pytest.raises(CoefficientOverflowError):
-            slice_product(factors, t, cap)
+            slice_product({t: factors}, cap)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -943,12 +956,13 @@ def test_lhs_base_is_the_summands_base(r):
 # -- the packed comparison against first_difference ----------------------------
 
 
-def t_free_slices(p):
-    """The t-slices of p, each moved to t-degree 0: p = sum_k slices[k] t^k."""
-    return [
-        TruncatedPoly(p.t_cap, {Monomial(m.q, 0, m.u): c for m, c in p.terms.items() if m.t == k})
+def t_free_heights(p):
+    """The t-slices of p, each moved to t-degree 0, as heights: p = slice_product(heights, cap)."""
+    terms = p.terms.items()
+    return {
+        k: [(TruncatedPoly(p.t_cap, {Monomial(m.q, 0, m.u): c for m, c in terms if m.t == k}), 1)]
         for k in range(p.t_cap + 1)
-    ]
+    }
 
 
 def changed_terms(terms, at, cap, delta):
@@ -992,7 +1006,7 @@ def test_compare_product_agrees_with_first_difference(coeffs, data, n, at, delta
     exact = unchecked_product(a, denominator)
     if not fits(exact):
         with pytest.raises(CoefficientOverflowError):
-            compare_product(a, n, [], 1)
+            compare_product(a, n, {})
         return
     c_terms = changed_terms(exact, at, a.t_cap, delta)
     assume(fits(c_terms))
@@ -1002,12 +1016,7 @@ def test_compare_product_agrees_with_first_difference(coeffs, data, n, at, delta
     except CoefficientOverflowError:
         # The oracle also refuses a partial sum outside int64; a * D does not.
         product = TruncatedPoly(a.t_cap, exact)
-    assert_agrees(compare_product(a, n, t_free_slices(c), 1), product, c)
-
-
-def base_lists(cap):
-    base = st.one_of(st.just(TruncatedPoly.zero(cap)), slice_polys(cap, SMALL, t=0, top=4))
-    return st.lists(base, max_size=cap + 1)
+    assert_agrees(compare_product(a, n, t_free_heights(c)), product, c)
 
 
 def times_inverse_denominator(p, n):
@@ -1019,24 +1028,26 @@ def times_inverse_denominator(p, n):
 
 @settings(deadline=None)
 @given(
-    st.integers(0, 4).flatmap(base_lists),
-    st.integers(1, 4),
+    st.integers(0, 4).flatmap(
+        lambda cap: st.tuples(
+            height_maps(cap, st.integers(-3, 3), st.integers(0, 4), top=4), st.just(cap)
+        )
+    ),
     st.integers(1, 3),
     AT,
     st.integers(-3, 3),
 )
-def test_compare_product_with_powers_agrees_with_first_difference(bases, e, n, at, delta):
-    # a * D is sum_k bases[k]**e t^k, with one coefficient changed unless delta is 0.
-    cap = bases[0].t_cap if bases else 0
-    power_sum = TruncatedPoly.zero(cap)
-    for k, base in enumerate(bases):
-        shift = TruncatedPoly.term(cap, 1, t=k)
-        power_sum = power_sum + mul_by_terms(chain_power(base, e), shift)
+def test_compare_product_with_powers_agrees_with_first_difference(args, n, at, delta):
+    # a * D is the heights' sum, with one coefficient changed unless delta is
+    # 0; zero exponents, zero factors and heights past the cap are drawn.
+    # Each factor has ||.||_1 <= 18, so a height's sum stays below 18^12.
+    heights, cap = args
+    power_sum = chain_sum(heights, cap)
     changed = TruncatedPoly(cap, changed_terms(power_sum.terms, at, cap, delta))
     a = times_inverse_denominator(changed, n)
     product = mul_by_terms(a, expand_denominator(n, cap))
     assert product == changed
-    assert_agrees(compare_product(a, n, bases, e), product, power_sum)
+    assert_agrees(compare_product(a, n, heights), product, power_sum)
 
 
 @pytest.mark.parametrize("delta", [0, 1, -1])
@@ -1049,23 +1060,28 @@ def test_compare_product_in_slots_wider_than_8_bytes(delta):
     product = mul_by_terms(a, expand_denominator(1, 2))
     assert set(map(abs, product.terms.values())) == {c}
     other = TruncatedPoly(2, changed_terms(product.terms, (1, 1, 0), 2, delta))
-    assert_agrees(compare_product(a, 1, t_free_slices(other), 1), product, other)
+    assert_agrees(compare_product(a, 1, t_free_heights(other)), product, other)
 
 
 def test_compare_product_rejects_bad_arguments():
     one = TruncatedPoly.one(2)
-    for e in (0, 2.0, "2", True):
-        with pytest.raises(ValueError, match=f"exponent must be a positive integer, got {e}"):
-            compare_product(one, 1, [one], e)
+    for e in (-1, 2.0, "2", True):
+        with pytest.raises(ValueError, match=f"exponent must be a nonnegative integer, got {e}"):
+            compare_product(one, 1, {0: [(one, e)]})
     for n in (0, True, 2.0):
         with pytest.raises(ValueError, match=f"need a positive number of variables, got n={n}"):
-            compare_product(one, n, [one], 1)
-    with pytest.raises(ValueError, match="exceed"):
-        compare_product(one, 1, [one] * 4, 1)
+            compare_product(one, n, {0: [(one, 1)]})
+    for t in (-1, 1.0):
+        with pytest.raises(ValueError, match=f"t-exponent must be a nonnegative integer, got {t}"):
+            compare_product(one, 1, {t: []})
     with pytest.raises(ValueError, match="t-degree 0"):
-        compare_product(one, 1, [TruncatedPoly.term(2, 1, t=1)], 1)
+        compare_product(one, 1, {0: [(TruncatedPoly.term(2, 1, t=1), 1)]})
     with pytest.raises(ValueError, match="t_cap mismatch"):
-        compare_product(one, 1, [TruncatedPoly.one(3)], 1)
+        compare_product(one, 1, {0: [(TruncatedPoly.one(3), 1)]})
+    # 1 / (1 - t)(1 - q t) up to t^2, from heights with zero exponents and
+    # one past the cap, which adds nothing.
+    heights = {k: [(q_integer(k + 1, 2), 1), (one, 0)] for k in range(3)}
+    assert compare_product(one, 1, {**heights, 3: [(one, 1)]}) is None
 
 
 def test_compare_product_packs_the_numerator_once_and_no_denominator(monkeypatch):
@@ -1074,6 +1090,7 @@ def test_compare_product_packs_the_numerator_once_and_no_denominator(monkeypatch
     r, n, cap = 2, 3, 5
     a = numerator(r, n, cap)
     bases = [lhs_base(r, k, cap) for k in range(cap + 1)]
+    heights = {k: [(base, n)] for k, base in enumerate(bases)}
     packed, denominators = [], []
 
     def counted_pack(terms, layout):
@@ -1086,7 +1103,7 @@ def test_compare_product_packs_the_numerator_once_and_no_denominator(monkeypatch
 
     monkeypatch.setattr(poly, "_pack", counted_pack)
     monkeypatch.setattr(poly, "expand_denominator", counted_denominator)
-    assert compare_product(a, n, bases, n) is None
+    assert compare_product(a, n, heights) is None
     assert packed == [a.terms, *(base.terms for base in bases)]
     assert denominators == [(n, cap)]
 
@@ -1094,10 +1111,10 @@ def test_compare_product_packs_the_numerator_once_and_no_denominator(monkeypatch
 @settings(deadline=None)
 @given(st.integers(0, 8).flatmap(lambda cap: polys(cap, SMALL)), st.integers(1, 4))
 def test_running_sums_are_the_product_with_the_denominator(a, n):
-    # With no bases the power side is zero, so the product comes back decoded.
+    # With no heights the other side is zero, so the product comes back decoded.
     expected = mul_by_terms(a, expand_denominator(n, a.t_cap))
     zero = TruncatedPoly.zero(a.t_cap)
-    assert compare_product(a, n, [], 1) == (None if a.is_zero() else (expected, zero))
+    assert compare_product(a, n, {}) == (None if a.is_zero() else (expected, zero))
 
 
 def termwise_sum(a, b):
