@@ -98,10 +98,8 @@ def _emit(fmt: str, records: list, header: Sequence[str], rows: Iterable[Sequenc
     JSON goes through the one writer :func:`_indented`, whose text is
     byte-identical to ``json.dumps(records, indent=2)``.  ``rows``, the TSV
     projection of ``records``, is read only for tsv; pass a generator, so
-    that no list of row tuples is held next to the output.  ``table`` builds
-    no records and does not come here: :func:`cmd_table` writes each row in
-    this layout from texts made once per descent set and per color choice.
-    Nor does ``figure`` in JSON, whose cells have one shape (:func:`cmd_figure`).
+    that no list of row tuples is held next to the output.  ``table`` and JSON
+    ``figure`` write their own rows.
     """
     if fmt == "json":
         return _indented(records, "\n") + "\n"
@@ -173,8 +171,7 @@ class _DescentFragments(dict):
     at i and i+1 and on whether pi(i) > pi(i+1): on 0,0 it descends iff
     pi(i) > pi(i+1), on 1,1 iff pi(i) < pi(i+1), on 0,1 always and on 1,0
     never.  So the windows pi^support of every pi with one pattern share a
-    descent set, and a missing support costs one ``descent_set`` call on
-    the first such pi.
+    descent set: a block of :func:`_table_text` makes one call per support.
     """
 
     def __init__(self, pi: tuple[int, ...], render):
@@ -189,21 +186,16 @@ class _DescentFragments(dict):
 
 def _json_stats(descents: list[int]) -> str:
     """The "Des", "maj" and "des" values of a table record, as _indented nests them."""
-    return (
-        _indented(descents, "\n    ")
-        + ',\n    "maj": '
-        + str(sum(descents))
-        + ',\n    "des": '
-        + str(len(descents))
-    )
+    sums = f',\n    "maj": {sum(descents)},\n    "des": {len(descents)}'
+    return _indented(descents, "\n    ") + sums
 
 
 def _tsv_stats(descents: list[int]) -> str:
-    return f"{_compact(descents)}\t{sum(descents)}\t{len(descents)}"
+    return "[" + ",".join(map(str, descents)) + f"]\t{sum(descents)}\t{len(descents)}"
 
 
 # Per format: the text before the first row, a row's template with fields
-# for the window's letters, its Des/maj/des text and its col, the text
+# for the window's text, its Des/maj/des text and its col, the text
 # between rows, the text after the last row, and the Des/maj/des writer.
 # The JSON rows are records laid out as _indented lays them out; a window's
 # text holds only digits, "^", spaces and brackets, which JSON leaves as is.
@@ -217,48 +209,60 @@ _TABLE_LAYOUT = {
     ),
     "tsv": ("window\tDes\tmaj\tdes\tcol\n", "[{}]\t{}\t{}\n", "", "", _tsv_stats),
 }
+# The pad, then the slots: ASCII characters that no table text holds, controls
+# first.  str.translate keeps to its fast path from ASCII to ASCII.
+_TABLE_CHARS = '\t\n "[]{}:,^0123456789Dacdeijlmnosw'
+_PAD, *_SLOTS = (c for c in map(chr, [*range(32), 127, *range(33, 127)]) if c not in _TABLE_CHARS)
+
+
+def _table_text(fmt: str, r: int, n: int, perms: Iterable[tuple[int, ...]], eps=None) -> str:
+    """The rows of each pi of ``perms``: every color vector, or ``eps``'s colors.
+
+    A block, the rows of one descent pattern (and support, under ``eps``), is
+    built once with slots for the letters (and colors); pi's rows are one
+    ``str.translate`` of it.  A field has one slot per digit of its widest
+    value, padded on the left, and one ``str.replace`` strips the pad.
+    """
+    head, row, sep, tail, render = _TABLE_LAYOUT[fmt]
+    wl, wc = len(str(n)), 0 if eps is None else len(str(max(eps)))
+    slots = "".join(_SLOTS[: n * (wl + wc)])
+    chunks = [slots[i : i + wl + wc] for i in range(0, len(slots), wl + wc)]
+    digits = [str(v).rjust(wl, _PAD) for v in range(n + 1)]
+    if eps is None:
+        colors = [list(map(str, range(r)))] * n
+        supports = list(itertools.product([min(c, 1) for c in range(r)], repeat=n))
+        cols = list(map(str, map(sum, itertools.product(range(r), repeat=n))))
+    else:
+        colors = [[chunk[wl:]] for chunk in chunks]
+        digits = [d + str(c).rjust(wc, _PAD) for d, c in zip(digits, (0, *eps))]
+        positive, cols = [0, *(min(c, 1) for c in eps)], [str(sum(eps))]
+    tokens = ([f"{chunk[:wl]}^{c}" for c in choices] for chunk, choices in zip(chunks, colors))
+    windows = list(map(" ".join, itertools.product(*tokens)))
+    blocks: dict[tuple, str] = {}
+    parts = [head]
+    for pi in perms:
+        key = tuple(map(operator.gt, pi, pi[1:]))
+        if eps is not None:
+            supports = [tuple(map(positive.__getitem__, pi))]
+            key += supports[0]
+        block = blocks.get(key)
+        if block is None:
+            stats = map(_DescentFragments(pi, render).__getitem__, supports)
+            block = blocks[key] = sep.join(map(row.format, windows, stats, cols))
+        parts += block.translate(str.maketrans(slots, "".join(map(digits.__getitem__, pi)))), sep
+    parts[-1] = tail
+    blocks.clear()
+    text = "".join(parts)
+    parts.clear()  # no third copy of the output
+    return text.replace(_PAD, "") if max(wl, wc) > 1 else text
 
 
 def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
-    """One row per window pi^colors: pi in lexicographic order, then the colors.
-
-    Each row is its window's text, the Des/maj/des text of its descent set
-    and the text of its col.  The descent set comes from the window's
-    descent pattern and support (:class:`_DescentFragments`), so a command
-    makes at most 2^(n-1) * 2^n ``descent_set`` calls and renders each
-    descent set once; col texts are made once per list of color choices.
-    """
-    n = args.n
-    perms = itertools.permutations(range(1, n + 1))
-    if args.filter_eps is not None:
-        eps = _parse_eps(args.filter_eps, args.r, n)
-        check_group_order(1, n, args.budget)  # G_eps has n! windows
-        cols = [str(sum(eps))]
-        walk = (
-            (pi, [(eps[v - 1],) for v in pi], [tuple(min(eps[v - 1], 1) for v in pi)], cols)
-            for pi in perms
-        )
-    else:
-        check_group_order(args.r, n, args.budget)
-        every = [range(args.r)] * n
-        supports = list(itertools.product([min(c, 1) for c in range(args.r)], repeat=n))
-        cols = list(map(str, map(sum, itertools.product(*every))))
-        walk = ((pi, every, supports, cols) for pi in perms)
-    head, row, sep, tail, render = _TABLE_LAYOUT[args.format]
-    by_pattern: dict[tuple[bool, ...], _DescentFragments] = {}
-    parts = [head]
-    for pi, choices, supports, cols in walk:
-        pattern = tuple(map(operator.gt, pi, pi[1:]))
-        fragments = by_pattern.get(pattern)
-        if fragments is None:
-            fragments = by_pattern[pattern] = _DescentFragments(pi, render)
-        tokens = [[f"{v}^{c}" for c in colors] for v, colors in zip(pi, choices)]
-        windows = map(" ".join, itertools.product(*tokens))
-        stats = map(fragments.__getitem__, supports)
-        parts.append(sep.join(map(row.format, windows, stats, cols)))
-        parts.append(sep)
-    parts[-1] = tail
-    return EXIT_PASS, "".join(parts)
+    """One row per window pi^colors: pi in lexicographic order, then the colors."""
+    eps = None if args.filter_eps is None else _parse_eps(args.filter_eps, args.r, args.n)
+    check_group_order(args.r if eps is None else 1, args.n, args.budget)  # G_eps: n! windows
+    perms = itertools.permutations(range(1, args.n + 1))
+    return EXIT_PASS, _table_text(args.format, args.r, args.n, perms, eps)
 
 
 # A figure cell {"v": [v1, v2], "monomial": {"q": q, "u": u}} as _indented
@@ -341,12 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=int, required=True, help="number of colors (>= 1)")
         p.add_argument("--n", type=int, required=True, help="number of letters (>= 1)")
         p.add_argument("--t-cap", type=int, default=None, help="t-degree cap (default n+3)")
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=DEFAULT_BUDGET,
-            help="max enumerated objects (default 10^7)",
-        )
+        budget = "max enumerated objects (default 10^7)"
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget)
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if with_k:

@@ -379,15 +379,15 @@ def test_table_filter_eps_rows_match_g_epsilon(capsys, r):
             assert json.loads(out) == expected, eps
 
 
-def table_oracle(r, n, fmt, eps=None):
+def table_oracle(r, n, fmt, eps=None, perms=None):
     """table's stdout built row by row: one record and one descent_set per window.
 
-    Windows come pi by pi in lexicographic order, and for each pi every color
-    vector in lexicographic order, or only the colors of ``eps`` (indexed by
-    letter) when it is given.
+    Windows come pi by pi, in lexicographic order unless ``perms`` is given,
+    and for each pi every color vector in lexicographic order, or only the
+    colors of ``eps`` (indexed by letter) when it is given.
     """
     records = []
-    for pi in itertools.permutations(range(1, n + 1)):
+    for pi in perms or itertools.permutations(range(1, n + 1)):
         if eps is None:
             vectors = itertools.product(range(r), repeat=n)
         else:
@@ -413,14 +413,20 @@ def table_oracle(r, n, fmt, eps=None):
     return "".join(line + "\n" for line in lines)
 
 
+# Every character table may print: no slot or pad character of a block leaks.
+TABLE_CHARS = set(map(chr, range(32, 127))) | {"\t", "\n"}
+
+
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 @pytest.mark.parametrize(
-    "r,n", [(r, n) for r in range(1, 5) for n in range(1, 5)] + [(2, 5), (3, 5)]
+    "r,n",
+    [(r, n) for r in range(1, 5) for n in range(1, 5)] + [(2, 5), (3, 5), (11, 2), (12, 1)],
 )
 def test_table_matches_row_by_row_oracle(capsys, r, n, fmt):
     code, out, err = run_cli(capsys, "table", "--r", str(r), "--n", str(n), "--format", fmt)
     assert code == 0, err
     assert out == table_oracle(r, n, fmt)
+    assert set(out) <= TABLE_CHARS
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
@@ -432,6 +438,29 @@ def test_table_filter_eps_matches_row_by_row_oracle(capsys, r, fmt):
             code, out, err = run_cli(capsys, *argv, "--filter-eps", ",".join(map(str, eps)))
             assert code == 0, err
             assert out == table_oracle(r, n, fmt, eps), eps
+            assert set(out) <= TABLE_CHARS
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_table_filter_eps_with_two_digit_colors_matches_the_oracle(capsys, fmt):
+    argv = ["table", "--r", "12", "--n", "3", "--format", fmt, "--filter-eps", "11,0,10"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out == table_oracle(12, 3, fmt, (11, 0, 10))
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+@pytest.mark.parametrize("r,eps", [(2, None), (13, (12, 0, 3, 10, 1, 11, 0, 9, 2, 12, 5, 10))])
+def test_table_text_fills_two_digit_letters_and_colors(fmt, r, eps):
+    # n >= 10 has at least 10! rows, too many for a CLI test: fill one pi's
+    # block whose letters 1..9 pad their tens slot, and (eps) whose colors
+    # 0..9 pad theirs, and 12 letters with 2-digit colors need 48 slots.
+    pi = (10, 3, 12, 1, 7, 11, 2, 9, 4, 8, 6, 5)
+    out = cli._table_text(fmt, r, 12, [pi], eps)
+    assert out == table_oracle(r, 12, fmt, eps, perms=[pi])
+    colors = (0,) * 12 if eps is None else tuple(eps[v - 1] for v in pi)
+    window = ColoredPermutation(pi, colors).window_str()
+    assert (window in out) and set(out) <= TABLE_CHARS
 
 
 @st.composite
@@ -487,6 +516,22 @@ def test_table_makes_one_descent_set_call_per_pattern_and_support(capsys, monkey
     assert code == 0, err
     assert len(out.splitlines()) == 1 + 2**n * 720
     assert 0 < len(calls) <= 2 ** (n - 1) * 2**n
+
+
+def test_table_builds_one_block_per_descent_pattern(capsys, monkeypatch):
+    blocks = []
+
+    class Counted(cli._DescentFragments):
+        def __init__(self, pi, render):
+            blocks.append(pi)
+            super().__init__(pi, render)
+
+    monkeypatch.setattr(cli, "_DescentFragments", Counted)
+    n = 6
+    code, out, err = run_cli(capsys, "table", "--r", "2", "--n", str(n), "--format", "tsv")
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + 2**n * 720
+    assert 0 < len(blocks) <= 2 ** (n - 1)
 
 
 def test_table_tsv(capsys):
