@@ -16,18 +16,20 @@ packed polynomial multiply and of the theorem's packed comparison
 # loads none of these modules: the first use of a name (``from
 # wreath_identity import cone_sum`` or ``wreath_identity.cone_sum``) loads its
 # module through ``__getattr__`` (PEP 562), so a ``wreath-id`` process compiles
-# only the modules its command runs.
+# only the modules its command runs.  ``Monomial`` is defined in ``wreath``,
+# which every command compiles, so ``figure`` and ``decompose`` need no ``poly``
+# (which re-exports it).
 _EXPORTS = {
     "errors": ("CoefficientOverflowError",),
     "poly": (
-        "Monomial", "TruncatedPoly", "compare_product", "expand_denominator",
-        "first_difference", "lhs_base", "lhs_term", "mul_by_terms", "q_integer",
-        "u_integer",
+        "TruncatedPoly", "compare_product", "expand_denominator", "first_difference",
+        "lhs_base", "lhs_term", "mul_by_terms", "q_integer", "u_integer",
     ),
     "wreath": (
         "BudgetExceededError", "ColoredPermutation", "DEFAULT_BUDGET", "EpsilonVector",
-        "col", "colored_window", "des", "descent_set", "enumerate_group", "g_epsilon",
-        "g_epsilon_gf", "group_order", "maj", "numerator", "ordinary_descent_set",
+        "Monomial", "col", "colored_window", "des", "descent_set", "enumerate_group",
+        "g_epsilon", "g_epsilon_gf", "group_order", "maj", "numerator",
+        "ordinary_descent_set",
     ),
     "geometry": (
         "CubeSliceSpec", "LatticePoint", "cone_sum", "cone_sum_by_enumeration",

@@ -7,7 +7,8 @@ precondition error, 3 enumeration budget exceeded or coefficient overflow.
 Every command is a fresh process, so a command imports
 :mod:`~wreath_identity.geometry` and :mod:`~wreath_identity.identity` only
 when it runs, after its up-front refusals: ``table`` and a refused
-``verify`` compile neither, nor the polynomial kernel, and ``verify``
+``verify`` compile neither, nor the polynomial kernel; ``figure`` and
+``decompose`` compile ``geometry`` but not the kernel; and ``verify``
 without ``--all-steps`` never compiles ``geometry``.  A name is read from
 its module at call time, so a wrapper or test double set on that module
 takes effect.
@@ -58,6 +59,13 @@ def _compact(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
+class _Raw(str):
+    """Text that :func:`_indented` writes as it stands: a template's own text."""
+
+
+_INT = _Raw("%d")  # one int field of a template
+
+
 def _indented(value, pad: str) -> str:
     r"""``value`` as ``json.dumps(value, indent=2)`` prints it, nested at ``pad``.
 
@@ -66,7 +74,9 @@ def _indented(value, pad: str) -> str:
     must be strings.  Each dict and list is one join over its items, and
     strings and ints are formatted here; any other scalar (bool, None,
     float) goes to ``json.dumps``.  ``type(value) is int`` keeps a bool from
-    printing as 1.
+    printing as 1.  A :class:`_Raw` text is written as it is, so
+    ``_indented`` of a record that holds :data:`_INT` for each int is the
+    ``%`` template of every record of that shape.
 
     >>> _indented({"Des": [0, 2], "ok": True, "x": None}, "\n")
     '{\n  "Des": [\n    0,\n    2\n  ],\n  "ok": true,\n  "x": null\n}'
@@ -76,6 +86,8 @@ def _indented(value, pad: str) -> str:
         return encode_basestring_ascii(value)
     if kind is int:
         return str(value)
+    if kind is _Raw:
+        return value
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
         brackets, items = "[]", [_indented(item, inner) for item in value]
@@ -92,19 +104,36 @@ def _indented(value, pad: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
+def _tsv_line(fields: Sequence) -> str:
+    return "\t".join(map(str, fields)) + "\n"
+
+
 def _emit(fmt: str, records: list, header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Render records as indented JSON, or as TSV: header, then one line per row.
 
     JSON goes through the one writer :func:`_indented`, whose text is
     byte-identical to ``json.dumps(records, indent=2)``.  ``rows``, the TSV
     projection of ``records``, is read only for tsv; pass a generator, so
-    that no list of row tuples is held next to the output.  ``table`` and JSON
-    ``figure`` write their own rows.
+    that no list of row tuples is held next to the output.  Only ``verify``
+    emits here: ``table``, ``figure`` and ``decompose`` fill ``%`` or
+    ``str.format`` templates of the same text, ``figure`` and ``decompose``
+    between the text of :func:`_layout`.
     """
     if fmt == "json":
         return _indented(records, "\n") + "\n"
-    lines = itertools.chain([header], rows)
-    return "".join("\t".join(map(str, fields)) + "\n" for fields in lines)
+    return "".join(map(_tsv_line, itertools.chain([header], rows)))
+
+
+def _layout(fmt: str, header: Sequence[str]) -> tuple[str, str, str]:
+    """The text before the first row, between two rows and after the last, as _emit writes it.
+
+    A JSON row is an item of the top-level list, at pad ``sep[1:]``; there
+    is at least one row.
+    """
+    if fmt == "json":
+        head, sep, tail = _indented([_INT] * 2, "\n").split(_INT)
+        return head, sep, tail + "\n"
+    return _tsv_line(header), "", ""
 
 
 def all_step_reports(r, n, cap, budget) -> list[VerificationReport]:
@@ -265,30 +294,24 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_PASS, _table_text(args.format, args.r, args.n, perms, eps)
 
 
-# A figure cell {"v": [v1, v2], "monomial": {"q": q, "u": u}} as _indented
-# lays it out inside the grid's list; every field is an int.
-_FIGURE_CELL = (
-    '{{\n    "v": [\n      {},\n      {}\n    ],\n'
-    '    "monomial": {{\n      "q": {},\n      "u": {}\n    }}\n  }}'
-)
-
-
 def cmd_figure(args: argparse.Namespace) -> tuple[int, str]:
-    """The n = 2 grid of point weights; a JSON cell is one format of _FIGURE_CELL."""
+    """The n = 2 grid of point weights: one template of kr + 1 cells per grid row."""
     if args.n != 2:
         raise UsageError(f"figure grids are only defined for n = 2, got n={args.n}")
-    from .geometry import check_grid_budget, figure_grid
+    from .geometry import check_grid_budget, figure_rows
 
     check_grid_budget(args.r, args.n, args.k, args.budget)
-    grid = figure_grid(args.r, args.k)
-    rows = ((*cell["v"], cell["monomial"]["q"], cell["monomial"]["u"]) for cell in grid)
+    head, sep, tail = _layout(args.format, ("v1", "v2", "q", "u"))
     if args.format == "json":
-        cells = ",\n  ".join(itertools.starmap(_FIGURE_CELL.format, rows))
-        return EXIT_PASS, "[\n  " + cells + "\n]\n"
-    return EXIT_PASS, _emit(args.format, grid, ("v1", "v2", "q", "u"), rows)
+        cell = _indented({"v": [_INT] * 2, "monomial": {"q": _INT, "u": _INT}}, sep[1:])
+    else:
+        cell = _tsv_line([_INT] * 4)
+    row = sep.join([cell] * (args.k * args.r + 1))
+    return EXIT_PASS, head + sep.join(map(row.__mod__, figure_rows(args.r, args.k))) + tail
 
 
 def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
+    """One cell per color vector: its JSON record, or one TSV line per point, is one template."""
     from .geometry import CubeSliceSpec, check_grid_budget, enumerate_slice
 
     expected = check_grid_budget(args.r, args.n, args.k, args.budget)
@@ -299,24 +322,31 @@ def cmd_decompose(args: argparse.Namespace) -> tuple[int, str]:
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for colors in itertools.product(range(args.r), repeat=args.n):
         spec = CubeSliceSpec(EpsilonVector(colors), args.k)
-        points = [p.v for p in enumerate_slice(spec, args.budget)]
+        points = list(map(operator.attrgetter("v"), enumerate_slice(spec, args.budget)))
         for v in points:
             if v in seen:
                 raise ClaimFailedError(
                     f"cube decomposition violated: {v} in both {seen[v]} and {colors}"
                 )
             seen[v] = colors
-        cells.append({"eps": list(colors), "points": [list(v) for v in points]})
+        cells.append((colors, points))
     if len(seen) != expected:
         raise ClaimFailedError(
             f"cube decomposition violated: {len(seen)} of {expected} points covered"
         )
-    rows = (
-        (",".join(map(str, cell["eps"])), ",".join(map(str, v)))
-        for cell in cells
-        for v in cell["points"]
-    )
-    return EXIT_PASS, _emit(args.format, cells, ("eps", "v"), rows)
+    head, sep, tail = _layout(args.format, ("eps", "v"))
+    if args.format == "json":
+        # A point is an item of a cell's "points" list, two levels below the cell.
+        point = _Raw(_indented([_INT] * args.n, sep[1:] + "    "))
+        records = (
+            {"eps": list(colors), "points": [point] * len(points)} for colors, points in cells
+        )
+        templates = map(_indented, records, itertools.repeat(sep[1:]))
+    else:
+        point = ",".join([_INT] * args.n)
+        templates = (_tsv_line([",".join(map(str, c)), point]) * len(p) for c, p in cells)
+    values = (tuple(itertools.chain.from_iterable(points)) for _, points in cells)
+    return EXIT_PASS, head + sep.join(map(str.__mod__, templates, values)) + tail
 
 
 # -- argument handling ----------------------------------------------------------

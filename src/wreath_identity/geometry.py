@@ -20,6 +20,12 @@ m'(j, k), packed as the int q*span + u, and weighs each point of
 :func:`enumerate_slice` by summing its coordinates' entries, so it does not
 rely on distributivity.  :class:`CubeSliceSpec` is a
 :class:`~wreath_identity.wreath.Frozen` value.
+
+:func:`figure_rows` is the one source of the n = 2 figure: the command
+fills a template with each of its rows, and :func:`figure_grid` makes
+them into records.  Only the functions that build polynomials (the slice
+and cone sums, and the oracles) import :mod:`~wreath_identity.poly`, so
+``figure`` and ``decompose`` never compile it.
 """
 
 from __future__ import annotations
@@ -30,11 +36,12 @@ import itertools
 from collections.abc import Iterator, Sequence
 from operator import itemgetter
 
-from .poly import Monomial, TruncatedPoly, _check_cap, slice_product
 from .wreath import (
     DEFAULT_BUDGET,
     EpsilonVector,
     Frozen,
+    Monomial,
+    _check_cap,
     capped_product,
     check_count,
     ordinary_descent_set,
@@ -149,6 +156,8 @@ def slice_sum(
     coordinates index one table of m'(j, k) packed as q*span + u, and
     their sum is the point's t-free weight packed the same way.
     """
+    from .poly import TruncatedPoly
+
     if cap is None:
         cap = spec.k
     k, n, top_color = spec.k, spec.eps.n, max(spec.eps.colors, default=0)
@@ -175,6 +184,8 @@ def cone_sum_by_enumeration(
     The oracle for :func:`cone_sum`: it visits every lattice point of every
     slice up to height cap.
     """
+    from .poly import TruncatedPoly
+
     total = TruncatedPoly.zero(cap)
     for k in range(cap + 1):
         total = total + slice_sum(CubeSliceSpec(eps, k), cap, budget)
@@ -224,6 +235,8 @@ def cone_sum(
 
 @functools.lru_cache(maxsize=None)
 def _factorised_cone_sum(colors: tuple[int, ...], cap: int) -> TruncatedPoly:
+    from .poly import slice_product
+
     return slice_product(_cube_heights(colors, cap), cap)
 
 
@@ -242,6 +255,8 @@ def _interval_sum(color: int, k: int, cap: int) -> TruncatedPoly:
 
     m'(., k) is one-to-one on I, so the terms are canonical as built.
     """
+    from .poly import TruncatedPoly
+
     weights = map(m_prime, _cube_interval(color, k), itertools.repeat(k))
     return TruncatedPoly._trusted(cap, dict.fromkeys(weights, 1))
 
@@ -256,6 +271,8 @@ def full_slice_sum(
     r: int, n: int, k: int, cap: int | None = None, budget: int = DEFAULT_BUDGET
 ) -> TruncatedPoly:
     """Pointwise sum of m over the whole slice ([0, kr]^n, k)."""
+    from .poly import TruncatedPoly
+
     if r < 1 or n < 1:
         raise ValueError(f"r and n must be positive, got r={r}, n={n}")
     if k < 0:
@@ -306,17 +323,33 @@ def find_simplex(alpha: Sequence[int], k: int) -> tuple[int, ...]:
     return matches[0]
 
 
-def figure_grid(r: int, k: int) -> list[dict]:
-    """The (kr+1) x (kr+1) grid of t-free point weights for n = 2.
+def figure_rows(r: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The (kr+1) x (kr+1) grid of t-free point weights for n = 2, row by row.
 
-    Entries are emitted in lexicographic (row-major) order of v; each
-    monomial record carries the q- and u-exponents with the t-factor
-    divided out, summed from one table of m'(j, k); :func:`m` is the oracle.
+    Row v1 is one flat tuple: v1, v2, q, u for v2 = 0..kr in turn, where
+    q^q u^u is m'(v1, k) m'(v2, k), summed from one table of m'(j, k).
     """
     if r < 1 or k < 0:
         raise ValueError(f"need r >= 1 and k >= 0, got r={r}, k={k}")
     weights = [m_prime(j, k) for j in range(k * r + 1)]
-    return [
-        {"v": [v1, v2], "monomial": {"q": a.q + b.q, "u": a.u + b.u}}
-        for (v1, a), (v2, b) in itertools.product(enumerate(weights), repeat=2)
-    ]
+    side = range(len(weights))
+    qs, us = [w.q for w in weights], [w.u for w in weights]
+    for v1, (q, _, u) in enumerate(weights):
+        cells = zip(itertools.repeat(v1), side, map(q.__add__, qs), map(u.__add__, us))
+        yield tuple(itertools.chain.from_iterable(cells))
+
+
+def figure_grid(r: int, k: int) -> list[dict]:
+    """The cells of :func:`figure_rows`, in row-major order of v, as records.
+
+    Each monomial record carries the q- and u-exponents with the t-factor
+    divided out; :func:`m` is the oracle.
+    """
+    grid = []
+    for row in figure_rows(r, k):
+        fields = iter(row)  # zip reads four fields, a cell, at a time
+        grid += (
+            {"v": [v1, v2], "monomial": {"q": q, "u": u}}
+            for v1, v2, q, u in zip(fields, fields, fields, fields)
+        )
+    return grid

@@ -5,7 +5,9 @@ t-exponent exceeds the cap, while q- and u-exponents stay exact.  Both sides
 of the identity this package verifies have finite q,u content at each
 t-degree, so truncating in t alone is enough to make equality testing exact.
 
-A polynomial is a map from Monomial to coefficient.  Every product is
+A polynomial is a map from Monomial to coefficient (``Monomial`` and the
+cap check ``_check_cap`` are defined in :mod:`~wreath_identity.wreath`,
+and re-exported here).  Every product is
 one primitive, Kronecker substitution: the (q, u) terms of a t-slice
 become the digits of one Python int, slot q*U + u with U wider than any
 u-degree of the result.  ``_packed`` builds each t-slice t^t prod_i
@@ -56,7 +58,6 @@ when one of its coefficients leaves the range.
 from __future__ import annotations
 
 import array
-import collections
 import functools
 import itertools
 import math
@@ -64,32 +65,10 @@ from collections.abc import Iterable, Mapping, Sequence
 from operator import add, itemgetter, sub
 
 from .errors import CoefficientOverflowError
+from .wreath import Monomial, _check_cap, _is_int
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
-
-
-class Monomial(collections.namedtuple("Monomial", "q t u")):
-    """Exponent triple q^q * t^t * u^u."""
-
-    __slots__ = ()
-
-    def key(self) -> tuple[int, int, int]:
-        """Canonical sort key: lexicographic by (t, q, u)."""
-        return (self.t, self.q, self.u)
-
-
-def _is_int(value) -> bool:
-    """True for an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_cap(t_cap) -> None:
-    """Refuse a t-cap that is not a nonnegative int, naming it."""
-    if not _is_int(t_cap):
-        raise ValueError(f"t_cap must be an integer, got {t_cap!r}")
-    if t_cap < 0:
-        raise ValueError(f"t_cap must be nonnegative, got {t_cap}")
 
 
 def _checked(coeff: int) -> int:

@@ -25,7 +25,10 @@ from it too, so importing the package loads neither ``dataclasses`` nor
 the ``inspect`` it imports.  Only the four functions that build
 polynomials (:func:`_window_tally`, :func:`g_epsilon_gf`,
 :func:`few_colors_pieces` and :func:`numerator`) import
-:mod:`~wreath_identity.poly`, so ``table`` never compiles it.
+:mod:`~wreath_identity.poly`, so ``table`` never compiles it.  The
+exponent triple :class:`Monomial` and the cap check :func:`_check_cap`
+are defined here, and ``poly`` re-exports them, so ``geometry`` reads
+point weights and checks caps without the kernel.
 
 :func:`numerator` walks no window: its few-colors pieces come from
 Carlitz's q-Eulerian recursion refined by the first letter (Garsia and
@@ -49,6 +52,29 @@ DEFAULT_BUDGET = 10_000_000
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured object budget."""
+
+
+class Monomial(collections.namedtuple("Monomial", "q t u")):
+    """Exponent triple q^q * t^t * u^u."""
+
+    __slots__ = ()
+
+    def key(self) -> tuple[int, int, int]:
+        """Canonical sort key: lexicographic by (t, q, u)."""
+        return (self.t, self.q, self.u)
+
+
+def _is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_cap(t_cap) -> None:
+    """Refuse a t-cap that is not a nonnegative int, naming it."""
+    if not _is_int(t_cap):
+        raise ValueError(f"t_cap must be an integer, got {t_cap!r}")
+    if t_cap < 0:
+        raise ValueError(f"t_cap must be nonnegative, got {t_cap}")
 
 
 class Frozen:
@@ -337,7 +363,7 @@ def few_colors_range(r: int, n: int) -> range:
 
 def _window_tally(windows: Iterable[ColoredPermutation], cap: int) -> TruncatedPoly:
     """Sum of q^maj t^des u^col over the windows, truncated at t-degree cap."""
-    from .poly import Monomial, TruncatedPoly
+    from .poly import TruncatedPoly
 
     counts = collections.Counter()
     for w in windows:
@@ -368,7 +394,7 @@ def g_epsilon_gf(eps: EpsilonVector, cap: int) -> TruncatedPoly:
     (:func:`_key_tally`).  ``_window_tally`` over :func:`g_epsilon` is the
     oracle.
     """
-    from .poly import Monomial, TruncatedPoly
+    from .poly import TruncatedPoly
 
     keys, u = tuple(bz_sort_key(v, c) for v, c in enumerate(eps.colors, 1)), eps.col()
     return TruncatedPoly(cap, ((Monomial(q, d, u), count) for (q, d), count in _key_tally(keys)))
@@ -426,7 +452,7 @@ def few_colors_pieces(n: int, cap: int) -> tuple:
     at every level.  :func:`g_epsilon_gf` is the oracle.  The pieces are
     immutable, so they are built once per (n, cap) and shared.
     """
-    from .poly import Monomial, TruncatedPoly
+    from .poly import TruncatedPoly
 
     level = [collections.Counter({(0, 0): 1})]  # G_1(1) = 1
     for _ in range(1, n):

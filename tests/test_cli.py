@@ -588,11 +588,25 @@ def test_figure_r1_grid_is_pure_q(capsys):
         assert cell["monomial"]["q"] == sum(cell["v"])
 
 
-@pytest.mark.parametrize("r,k", [(1, 0), (3, 0), (1, 1), (2, 1), (2, 3), (3, 2), (4, 5)])
+FIGURE_CASES = [(1, 0), (3, 0), (1, 1), (2, 1), (2, 3), (3, 2), (4, 5)]
+
+
+@pytest.mark.parametrize("r,k", FIGURE_CASES)
 def test_figure_json_matches_json_dumps(capsys, r, k):
     code, out, _ = run_cli(capsys, "figure", "--r", str(r), "--n", "2", "--k", str(k))
     assert code == 0
     assert out == json.dumps(figure_grid(r, k), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("r,k", FIGURE_CASES)
+def test_figure_tsv_matches_the_grid(capsys, r, k):
+    argv = ("figure", "--r", str(r), "--n", "2", "--k", str(k), "--format", "tsv")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = [("v1", "v2", "q", "u")] + [
+        (*cell["v"], cell["monomial"]["q"], cell["monomial"]["u"]) for cell in figure_grid(r, k)
+    ]
+    assert out == "".join("\t".join(map(str, row)) + "\n" for row in rows)
 
 
 def test_figure_tsv(capsys):
@@ -606,6 +620,41 @@ def test_figure_tsv(capsys):
 
 
 # -- decompose ---------------------------------------------------------------------
+
+
+def decompose_cells(r, n, k):
+    """The (colors, points) cells of a decomposition, rebuilt from enumerate_slice."""
+    cells = []
+    for colors in itertools.product(range(r), repeat=n):
+        spec = geometry.CubeSliceSpec(EpsilonVector(colors), k)
+        cells.append((list(colors), [list(p.v) for p in geometry.enumerate_slice(spec)]))
+    return cells
+
+
+# k = 0 leaves every cell but the apex's without points, n = 1 has one-int
+# points, and (4, 1, 3) and (3, 2, 4) reach two-digit coordinates.
+DECOMPOSE_CASES = [
+    (1, 1, 0), (3, 1, 0), (2, 3, 0), (1, 1, 2), (4, 1, 3),
+    (2, 2, 1), (3, 2, 4), (2, 3, 2), (1, 4, 1),
+]
+
+
+@pytest.mark.parametrize("r,n,k", DECOMPOSE_CASES)
+def test_decompose_matches_the_cells_of_enumerate_slice(capsys, r, n, k):
+    cells = decompose_cells(r, n, k)
+    argv = ("decompose", "--r", str(r), "--n", str(n), "--k", str(k))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    records = [{"eps": colors, "points": points} for colors, points in cells]
+    assert out == json.dumps(records, indent=2) + "\n"
+    code, out, _ = run_cli(capsys, *argv, "--format", "tsv")
+    assert code == 0
+    lines = ["eps\tv"] + [
+        ",".join(map(str, colors)) + "\t" + ",".join(map(str, v))
+        for colors, points in cells
+        for v in points
+    ]
+    assert out == "".join(line + "\n" for line in lines)
 
 
 def test_decompose_cell_sizes(capsys):
@@ -657,7 +706,7 @@ def test_slice_commands_refuse_over_budget_up_front(capsys, monkeypatch, argv):
         raise AssertionError("a slice was enumerated before the budget refusal")
 
     monkeypatch.setattr(geometry, "enumerate_slice", fail)
-    monkeypatch.setattr(geometry, "figure_grid", fail)
+    monkeypatch.setattr(geometry, "figure_rows", fail)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -756,8 +805,8 @@ COMMAND_BASE = {"wreath_identity", "cli", "errors", "wreath"}
     [
         (("table", "--r", "2", "--n", "3"), 0, set()),
         (("verify", "--r", "3", "--n", "7"), 3, set()),  # refused by the group order
-        (("figure", "--r", "2", "--n", "2", "--k", "2"), 0, {"poly", "geometry"}),
-        (("decompose", "--r", "2", "--n", "2", "--k", "1"), 0, {"poly", "geometry"}),
+        (("figure", "--r", "2", "--n", "2", "--k", "2"), 0, {"geometry"}),
+        (("decompose", "--r", "2", "--n", "2", "--k", "1"), 0, {"geometry"}),
         (("verify", "--r", "2", "--n", "3"), 0, {"poly", "identity"}),
         (("verify", "--all-steps", "--r", "2", "--n", "2"), 0, {"poly", "geometry", "identity"}),
     ],
