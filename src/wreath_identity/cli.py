@@ -12,6 +12,11 @@ when it runs, after its up-front refusals: ``table`` and a refused
 without ``--all-steps`` never compiles ``geometry``.  A name is read from
 its module at call time, so a wrapper or test double set on that module
 takes effect.
+
+Every command writes its rows between the text of :func:`_layout`, and
+every JSON row, or its ``%`` template, comes from the one writer
+:func:`_indented`: ``verify`` writes each report's record, and ``table``,
+``figure`` and ``decompose`` fill one template per record shape.
 """
 
 from __future__ import annotations
@@ -70,13 +75,14 @@ def _indented(value, pad: str) -> str:
     r"""``value`` as ``json.dumps(value, indent=2)`` prints it, nested at ``pad``.
 
     ``pad`` is a newline followed by the indentation of the line that holds
-    ``value``; ``_indented(records, "\n")`` is the whole document.  Dict keys
-    must be strings.  Each dict and list is one join over its items, and
+    ``value``: a row of :func:`_layout` is at ``sep[1:]``.  Dict keys must
+    be strings.  Each dict and list is one join over its items, and
     strings and ints are formatted here; any other scalar (bool, None,
     float) goes to ``json.dumps``.  ``type(value) is int`` keeps a bool from
     printing as 1.  A :class:`_Raw` text is written as it is, so
     ``_indented`` of a record that holds :data:`_INT` for each int is the
-    ``%`` template of every record of that shape.
+    ``%`` template of every record of that shape.  A ``%s`` field takes any
+    text, even ``"%s"``: ``table`` fills its template in two steps.
 
     >>> _indented({"Des": [0, 2], "ok": True, "x": None}, "\n")
     '{\n  "Des": [\n    0,\n    2\n  ],\n  "ok": true,\n  "x": null\n}'
@@ -108,27 +114,13 @@ def _tsv_line(fields: Sequence) -> str:
     return "\t".join(map(str, fields)) + "\n"
 
 
-def _emit(fmt: str, records: list, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Render records as indented JSON, or as TSV: header, then one line per row.
-
-    JSON goes through the one writer :func:`_indented`, whose text is
-    byte-identical to ``json.dumps(records, indent=2)``.  ``rows``, the TSV
-    projection of ``records``, is read only for tsv; pass a generator, so
-    that no list of row tuples is held next to the output.  Only ``verify``
-    emits here: ``table``, ``figure`` and ``decompose`` fill ``%`` or
-    ``str.format`` templates of the same text, ``figure`` and ``decompose``
-    between the text of :func:`_layout`.
-    """
-    if fmt == "json":
-        return _indented(records, "\n") + "\n"
-    return "".join(map(_tsv_line, itertools.chain([header], rows)))
-
-
 def _layout(fmt: str, header: Sequence[str]) -> tuple[str, str, str]:
-    """The text before the first row, between two rows and after the last, as _emit writes it.
+    """The text before the first row, between two rows and after the last.
 
-    A JSON row is an item of the top-level list, at pad ``sep[1:]``; there
-    is at least one row.
+    Every command writes ``head + sep.join(rows) + tail``: in JSON the
+    brackets of the top-level list, whose items are rows at pad ``sep[1:]``
+    (there is at least one row), so the text is ``json.dumps(rows,
+    indent=2)``; in TSV the header line, and rows that are whole lines.
     """
     if fmt == "json":
         head, sep, tail = _indented([_INT] * 2, "\n").split(_INT)
@@ -178,66 +170,16 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     code = EXIT_PASS if all(rep.ok for rep in reports) else EXIT_CLAIM_FAILED
     # Zero the timings: command output must be byte-identical across runs.
     records = [dict(rep.to_dict(), elapsed_ms=0.0) for rep in reports]
-    rows = (
-        (
-            d["claim"],
-            d["status"],
-            _compact(d["params"]),
-            _compact(d["counterexample"]),
-            d["elapsed_ms"],
-        )
-        for d in records
-    )
     header = ("claim", "status", "params", "counterexample", "elapsed_ms")
-    return code, _emit(args.format, records, header, rows)
+    head, sep, tail = _layout(args.format, header)
+    if args.format == "json":
+        rows = map(_indented, records, itertools.repeat(sep[1:]))
+    else:  # params and counterexample as compact JSON
+        text = {"params": _compact, "counterexample": _compact}
+        rows = (_tsv_line([text.get(key, str)(d[key]) for key in header]) for d in records)
+    return code, head + sep.join(rows) + tail
 
 
-class _DescentFragments(dict):
-    """Table text of Des, maj and des, per support, for one descent pattern of pi.
-
-    Under :func:`bz_sort_key` position 0 descends exactly when the first
-    support bit is 1, and a position i >= 1 depends only on the support bits
-    at i and i+1 and on whether pi(i) > pi(i+1): on 0,0 it descends iff
-    pi(i) > pi(i+1), on 1,1 iff pi(i) < pi(i+1), on 0,1 always and on 1,0
-    never.  So the windows pi^support of every pi with one pattern share a
-    descent set: a block of :func:`_table_text` makes one call per support.
-    """
-
-    def __init__(self, pi: tuple[int, ...], render):
-        super().__init__()
-        self.pi, self.render = pi, render
-
-    def __missing__(self, support: tuple[int, ...]) -> str:
-        descents = sorted(descent_set(ColoredPermutation._trusted(self.pi, support)))
-        self[support] = text = self.render(descents)
-        return text
-
-
-def _json_stats(descents: list[int]) -> str:
-    """The "Des", "maj" and "des" values of a table record, as _indented nests them."""
-    sums = f',\n    "maj": {sum(descents)},\n    "des": {len(descents)}'
-    return _indented(descents, "\n    ") + sums
-
-
-def _tsv_stats(descents: list[int]) -> str:
-    return "[" + ",".join(map(str, descents)) + f"]\t{sum(descents)}\t{len(descents)}"
-
-
-# Per format: the text before the first row, a row's template with fields
-# for the window's text, its Des/maj/des text and its col, the text
-# between rows, the text after the last row, and the Des/maj/des writer.
-# The JSON rows are records laid out as _indented lays them out; a window's
-# text holds only digits, "^", spaces and brackets, which JSON leaves as is.
-_TABLE_LAYOUT = {
-    "json": (
-        "[\n  ",
-        '{{\n    "window": "[{}]",\n    "Des": {},\n    "col": {}\n  }}',
-        ",\n  ",
-        "\n]\n",
-        _json_stats,
-    ),
-    "tsv": ("window\tDes\tmaj\tdes\tcol\n", "[{}]\t{}\t{}\n", "", "", _tsv_stats),
-}
 # The pad, then the slots: ASCII characters that no table text holds, controls
 # first.  str.translate keeps to its fast path from ASCII to ASCII.
 _TABLE_CHARS = '\t\n "[]{}:,^0123456789Dacdeijlmnosw'
@@ -247,12 +189,38 @@ _PAD, *_SLOTS = (c for c in map(chr, [*range(32), 127, *range(33, 127)]) if c no
 def _table_text(fmt: str, r: int, n: int, perms: Iterable[tuple[int, ...]], eps=None) -> str:
     """The rows of each pi of ``perms``: every color vector, or ``eps``'s colors.
 
-    A block, the rows of one descent pattern (and support, under ``eps``), is
-    built once with slots for the letters (and colors); pi's rows are one
-    ``str.translate`` of it.  A field has one slot per digit of its widest
-    value, padded on the left, and one ``str.replace`` strips the pad.
+    Under :func:`bz_sort_key` position 0 descends exactly when the first
+    support bit is 1, and a position i >= 1 depends only on the support bits
+    at i and i+1 and on whether pi(i) > pi(i+1): on 0,0 it descends iff
+    pi(i) > pi(i+1), on 1,1 iff pi(i) < pi(i+1), on 0,1 always and on 1,0
+    never.  So the windows pi^support of every pi with one descent pattern
+    share a descent set.  A block, the rows of one pattern (and support,
+    under ``eps``), is filled in two steps: once per distinct support, one
+    ``descent_set`` call fills the Des, maj and des fields of the row
+    template, which leaves the window and col fields; once per row, ``%``
+    fills those.  A window's letters (and colors) are slots, so pi's rows
+    are one ``str.translate`` of its block.  A field has one slot per digit
+    of its widest value, padded on the left, and one ``str.replace`` strips
+    the pad.  A window's text holds only digits, "^", spaces and brackets,
+    which JSON leaves as is.
     """
-    head, row, sep, tail, render = _TABLE_LAYOUT[fmt]
+    head, sep, tail = _layout(fmt, ("window", "Des", "maj", "des", "col"))
+    if fmt == "json":
+        fields = dict.fromkeys(("Des", "maj", "des", "col"), _Raw("%s"))
+        row = _indented({"window": _Raw('"[%s]"'), **fields}, sep[1:])
+    else:
+        row = _tsv_line(["[%s]", "[%s]", _INT, _INT, "%s"])
+
+    def row_of(pi: tuple[int, ...], support: tuple[int, ...]) -> str:
+        """The row template of pi^support, with only its window and col fields left."""
+        descents = sorted(descent_set(ColoredPermutation._trusted(pi, support)))
+        if fmt == "json":
+            text = _indented(descents, sep[1:] + "  ")
+        else:
+            # Not _compact: a json.dumps per support makes table about 30% slower.
+            text = ",".join(map(str, descents))
+        return row % ("%s", text, sum(descents), len(descents), "%s")
+
     wl, wc = len(str(n)), 0 if eps is None else len(str(max(eps)))
     slots = "".join(_SLOTS[: n * (wl + wc)])
     chunks = [slots[i : i + wl + wc] for i in range(0, len(slots), wl + wc)]
@@ -276,8 +244,9 @@ def _table_text(fmt: str, r: int, n: int, perms: Iterable[tuple[int, ...]], eps=
             key += supports[0]
         block = blocks.get(key)
         if block is None:
-            stats = map(_DescentFragments(pi, render).__getitem__, supports)
-            block = blocks[key] = sep.join(map(row.format, windows, stats, cols))
+            rows = {support: row_of(pi, support) for support in dict.fromkeys(supports)}
+            filled = zip(map(rows.__getitem__, supports), zip(windows, cols))
+            block = blocks[key] = sep.join(itertools.starmap(str.__mod__, filled))
         parts += block.translate(str.maketrans(slots, "".join(map(digits.__getitem__, pi)))), sep
     parts[-1] = tail
     blocks.clear()

@@ -212,6 +212,28 @@ def test_verify_all_steps_r1_skips_colored_cases(capsys):
     assert all(rep["status"] == "pass" for rep in reports)
 
 
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_verify_failing_report(capsys, monkeypatch, fmt):
+    # One q*t too many on the right side: the theorem fails at that monomial.
+    def wrong(*args):
+        true = numerator(*args)
+        return true + poly.TruncatedPoly.term(true.t_cap, 1, q=1, t=1)
+
+    monkeypatch.setattr(identity, "numerator", wrong)
+    code, out, err = run_cli(capsys, "verify", "--r", "2", "--n", "2", "--format", fmt)
+    assert code == 1, err
+    cex = {"monomial": {"q": 1, "t": 1, "u": 0}, "lhs": 2, "rhs": 3}
+    if fmt == "json":
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        [report] = json.loads(out)
+        assert (report["status"], report["counterexample"]) == ("fail", cex)
+    else:
+        header, line = out.splitlines()
+        claim, status, params, counterexample, elapsed = line.split("\t")
+        assert (claim, status, elapsed) == ("theorem", "fail", "0.0")
+        assert counterexample == json.dumps(cex, separators=(",", ":"))
+
+
 def test_verify_tsv(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--r", "2", "--n", "1", "--format", "tsv"
@@ -519,14 +541,14 @@ def test_table_makes_one_descent_set_call_per_pattern_and_support(capsys, monkey
 
 
 def test_table_builds_one_block_per_descent_pattern(capsys, monkeypatch):
-    blocks = []
+    # A block is built from the windows of one pi, the first of its pattern.
+    blocks = set()
 
-    class Counted(cli._DescentFragments):
-        def __init__(self, pi, render):
-            blocks.append(pi)
-            super().__init__(pi, render)
+    def counted(w):
+        blocks.add(w.pi)
+        return descent_set(w)
 
-    monkeypatch.setattr(cli, "_DescentFragments", Counted)
+    monkeypatch.setattr(cli, "descent_set", counted)
     n = 6
     code, out, err = run_cli(capsys, "table", "--r", "2", "--n", str(n), "--format", "tsv")
     assert code == 0, err
@@ -738,7 +760,21 @@ def test_decompose_overlap_is_a_failed_claim(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "decompose", "--r", "2", "--n", "2", "--k", "1")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: cube decomposition violated: ")
+    assert err == "error: cube decomposition violated: (0, 0) in both (0, 0) and (0, 1)\n"
+
+
+def test_decompose_missing_point_is_a_failed_claim(capsys, monkeypatch):
+    # The cells skip the apex, so they no longer cover the slice.
+    enumerate_slice = geometry.enumerate_slice
+    monkeypatch.setattr(
+        geometry,
+        "enumerate_slice",
+        lambda spec, budget: [p for p in enumerate_slice(spec, budget) if any(p.v)],
+    )
+    code, out, err = run_cli(capsys, "decompose", "--r", "2", "--n", "2", "--k", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: cube decomposition violated: 8 of 9 points covered\n"
 
 
 # -- plumbing ----------------------------------------------------------------------
